@@ -8,10 +8,13 @@ carries a witness that can be re-evaluated directly.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import measure as msr
 from .measure import (
@@ -33,11 +36,11 @@ from .shift import (
     TrunkMomentRatioTail,
     WeightSystem,
     apply,
+    local_data,
     power_norm_squared,
-    shift_norms_squared,
     vec_norm,
 )
-from .tree import Materialized, TreeFamily, vertex_key
+from .tree import Materialized, TreeFamily
 
 __all__ = [
     "Verdict",
@@ -78,6 +81,20 @@ def _leq(a: float, b: float, tol: float = REL_TOL) -> bool:
 
 def _eq(a: float, b: float, tol: float = REL_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _scale(a: np.ndarray, b) -> np.ndarray:
+    return np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+def _leq_all(a: np.ndarray, b, tol: float) -> np.ndarray:
+    """:func:`_leq` elementwise."""
+    return a <= b + tol * _scale(a, b)
+
+
+def _eq_all(a: np.ndarray, b, tol: float) -> np.ndarray:
+    """:func:`_eq` elementwise."""
+    return np.abs(a - b) <= tol * _scale(a, b)
 
 
 @dataclass(frozen=True)
@@ -176,9 +193,9 @@ def _tail_hypo_status(tail) -> str:
 
 def _checkable(m: Materialized):
     """Vertices whose own and children's norms are known exactly."""
-    for u in sorted(m.complete, key=vertex_key):
+    for u in m.tree.vertices:  # canonical order
         kids = m.tree.children[u]
-        if all(v in m.complete for v in kids):
+        if u in m.complete and all(v in m.complete for v in kids):
             yield u, kids
 
 
@@ -189,7 +206,9 @@ def _checkable(m: Materialized):
 
 def is_isometry(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Verdict:
     """sum of squared child weights equals 1 at every vertex."""
-    for u in sorted(m.complete, key=vertex_key):
+    for u in m.tree.vertices:
+        if u not in m.complete:
+            continue
         s = sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
         if not _eq(s, 1.0, tol):
             return Verdict("no", True, witness={"vertex": u, "norm_squared": s})
@@ -206,18 +225,24 @@ def is_isometry(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Verdi
 
 def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Verdict:
     """||S e_u|| = ||S e_v|| whenever v is a child of u with nonzero weight."""
-    norms2 = shift_norms_squared(w, m)
-    common = None
-    for u, kids in _checkable(m):
-        for v in kids:
-            if abs(w.weight(v)) == 0.0:
-                continue
-            if not _eq(norms2[u], norms2[v], tol):
-                return Verdict(
-                    "no", True,
-                    witness={"parent": u, "child": v, "norms_squared": [norms2[u], norms2[v]]},
-                )
-            common = norms2[u]
+    loc = local_data(w, m)
+    ar = m.arrays
+    ep, kids = loc.edge_parent, ar.child_idx
+    on = loc.checkable[ep] & (loc.mod[kids] != 0.0)  # edges in canonical order
+    bad = on & ~_eq_all(loc.norms2[ep], loc.norms2[kids], tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        u, v = int(ep[k]), int(kids[k])
+        # a childless vertex's norm is an empty sum, the integer 0
+        leaf = ar.child_ptr[v + 1] == ar.child_ptr[v]
+        return Verdict(
+            "no", True,
+            witness={
+                "parent": m.tree.vertices[u], "child": m.tree.vertices[v],
+                "norms_squared": [float(loc.norms2[u]), 0 if leaf else float(loc.norms2[v])],
+            },
+        )
+    common = float(loc.norms2[ep[np.flatnonzero(on)[-1]]]) if on.any() else None
     ranges = _tail_ranges(w)
     exact = (
         ranges is not None
@@ -225,7 +250,12 @@ def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Ve
         and _heads_covered(w, m)
     ) or _binary_constant(w, m)
     detail = {}
-    nonzero = all(abs(w.weight(v)) > 0 for v in m.tree.vertices if m.tree.parent.get(v) is not None)
+    below = ar.complete[ep]
+    # weights below an incomplete vertex are not in the local data
+    rest = kids[~below].tolist()
+    nonzero = bool(np.all(loc.mod[kids[below]] > 0)) and all(
+        abs(w.weight(m.tree.vertices[v])) > 0 for v in rest
+    )
     if common is not None and nonzero:
         detail["scalar_multiple_of_isometry"] = math.sqrt(common)
     return Verdict("yes", exact, depth=m.depth or None, detail=detail)
@@ -248,12 +278,15 @@ def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: f
         if _zero_everywhere(w, m):
             return Verdict("yes", True, detail={"structure": "zero operator"})
         nz = next(
-            v for v in sorted(m.tree.vertices, key=vertex_key)
+            v for v in m.tree.vertices
             if m.tree.parent.get(v) is not None and abs(w.weight(v)) != 0.0
         )
         return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
 
-    norms2 = shift_norms_squared(w, m)
+    @functools.cache
+    def norm2(u):  # ||S e_u||^2 of a complete vertex, resolved on first use
+        return sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
+
     chain = []
     cur = m.tree.root
     terminal = False
@@ -263,31 +296,31 @@ def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: f
         if any(v not in m.complete for v in kids):
             unresolved.update(kids)  # the chain leaves the truncation here
             break
-        plus = [v for v in kids if norms2[v] > 0.0]
+        plus = [v for v in kids if norm2(v) > 0.0]
         if len(plus) > 1:
             return Verdict("no", True, witness={"vertex": cur, "reason": "two live children"})
-        dead = [v for v in kids if norms2[v] == 0.0 and abs(w.weight(v)) != 0.0]
+        dead = [v for v in kids if norm2(v) == 0.0 and abs(w.weight(v)) != 0.0]
         if plus:
             v = plus[0]
             lam = abs(w.weight(v))
             if dead:
                 return Verdict("no", True, witness={"vertex": dead[0], "reason": "nonzero weight off the chain"})
             bad = (
-                not _eq(norms2[v], lam * lam, tol)
+                not _eq(norm2(v), lam * lam, tol)
                 if require_equal
-                else not _leq(norms2[v], lam * lam, tol)
+                else not _leq(norm2(v), lam * lam, tol)
             )
             if bad:
                 # prefer the root cause: a nonzero weight feeding a dead branch below v
                 for x in m.tree.children[v]:
-                    if x in m.complete and norms2.get(x, 1.0) == 0.0 and abs(w.weight(x)) != 0.0:
+                    if x in m.complete and norm2(x) == 0.0 and abs(w.weight(x)) != 0.0:
                         return Verdict(
                             "no", True,
                             witness={"vertex": x, "reason": "nonzero weight off the chain"},
                         )
                 return Verdict(
                     "no", True,
-                    witness={"vertex": v, "child_norm_squared": norms2[v], "weight_squared": lam * lam},
+                    witness={"vertex": v, "child_norm_squared": norm2(v), "weight_squared": lam * lam},
                 )
             chain.append(v)
             cur = v
@@ -298,7 +331,7 @@ def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: f
             return Verdict("no", True, witness={"vertex": v, "reason": "terminal weights break normality"})
         if not require_equal and chain:
             last = chain[-1]
-            s = norms2.get(last, 0.0)
+            s = norm2(last)  # chain vertices are complete
             if not _leq(s, abs(w.weight(last)) ** 2, tol):
                 return Verdict(
                     "no", True,
@@ -310,7 +343,7 @@ def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: f
 
     # everything off the extracted chain must carry zero weight
     allowed = set(chain) | unresolved
-    for v in sorted(m.tree.vertices, key=vertex_key):
+    for v in m.tree.vertices:
         if m.tree.parent.get(v) is None or v in allowed:
             continue
         if abs(w.weight(v)) != 0.0:
@@ -339,26 +372,52 @@ def is_normal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Verdict
     return _chain_verdict(w, m, require_equal=True, tol=tol)
 
 
+def _pow_all(xs: np.ndarray, p: float) -> np.ndarray:
+    """x ** p elementwise with Python's pow, as the one-vertex formulas take it;
+    an overflow reads as inf."""
+    def pw(x):
+        try:
+            return x ** p
+        except OverflowError:
+            return math.inf
+    return np.array([pw(x) for x in xs.tolist()], dtype=float)
+
+
 def _hyponormal_core(w, m, p, tol) -> Verdict:
-    norms2 = shift_norms_squared(w, m)
-    for u, kids in _checkable(m):
-        total = 0.0
-        for v in kids:
-            lam = abs(w.weight(v))
-            if norms2[v] == 0.0:
-                if lam != 0.0:
-                    return Verdict(
-                        "no", True,
-                        witness={"parent": u, "vertex": v, "reason": "weight into a kernel vector"},
-                    )
-                continue
-            total += lam ** 2 / norms2[v] ** p
-        if p != 1.0:
-            if norms2[u] == 0.0:
-                continue
-            total *= norms2[u] ** (p - 1.0)
-        if not _leq(total, 1.0, tol):
-            return Verdict("no", True, witness={"vertex": u, "lhs": total})
+    loc = local_data(w, m)
+    ar = m.arrays
+    ep, kids = loc.edge_parent, ar.child_idx
+    on = loc.checkable[ep]  # edges below checkable vertices, in canonical order
+    n2 = loc.norms2[kids]
+    lam2 = loc.mod2[kids]
+    dead = on & (n2 == 0.0)
+    fed = dead & (loc.mod[kids] != 0.0)  # a nonzero weight into a kernel vector
+    live = on & ~dead
+    terms = np.zeros(len(kids))
+    if p != 1.0:
+        n2 = np.ones(len(kids))
+        n2[live] = _pow_all(loc.norms2[kids[live]], p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms[live] = lam2[live] / n2[live]
+    terms[live & (lam2 == 0.0)] = 0.0  # also where n2 ** p underflowed to 0
+    # bincount adds each vertex's terms in its children's order
+    total = np.bincount(ep, weights=terms, minlength=len(loc.norms2))
+    fed_at = np.bincount(ep, weights=fed, minlength=len(total)) > 0
+    checked = loc.checkable & ~fed_at
+    if p != 1.0:
+        checked &= loc.norms2 != 0.0
+        total[checked] *= _pow_all(loc.norms2[checked], p - 1.0)
+    bad = fed_at | (checked & ~_leq_all(total, 1.0, tol))
+    if bad.any():
+        u = int(np.argmax(bad))
+        if fed_at[u]:
+            v = int(kids[np.flatnonzero(fed & (ep == u))[0]])
+            return Verdict(
+                "no", True,
+                witness={"parent": m.tree.vertices[u], "vertex": m.tree.vertices[v],
+                         "reason": "weight into a kernel vector"},
+            )
+        return Verdict("no", True, witness={"vertex": m.tree.vertices[u], "lhs": float(total[u])})
 
     statuses = []
     rules = _rules_list(w)

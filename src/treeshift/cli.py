@@ -24,6 +24,8 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
+        if math.isnan(x):
+            return '"nan"'
         if x == int(x) and abs(x) < 1e15:
             return repr(x)
         return format(x, ".17g")
@@ -360,8 +362,11 @@ def run(argv) -> int:
         return 2
     except (
         shift.IncompleteTruncationError,
+        shift.NonFiniteWeightError,
         tree.UnknownVertexError,
         oracle.EmptyInteriorError,
+        OverflowError,  # a tail rule past the float range
+        ZeroDivisionError,
     ) as e:
         _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
         return 2

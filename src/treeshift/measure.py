@@ -56,6 +56,9 @@ class AtomicMeasure:
     atoms: tuple  # ((point, mass), ...) sorted by point, points distinct
 
     def __post_init__(self):
+        for p, m in self.atoms:
+            if not (math.isfinite(p) and math.isfinite(m)):
+                raise ValueError(f"atom ({p!r}, {m!r}) is not finite")
         pts = [p for p, _ in self.atoms]
         if any(p < 0 for p in pts):
             raise ValueError("atoms must sit on [0, oo)")
@@ -106,8 +109,13 @@ class AtomicMeasure:
 
 def moment(m: AtomicMeasure, n: int) -> float:
     """sum mass * point**n; +inf when n < 0 and an atom sits at 0."""
+    return atoms_moment(m.atoms, n)
+
+
+def atoms_moment(atoms: Iterable[tuple], n: int) -> float:
+    """:func:`moment` of (point, mass) pairs that need not form a measure."""
     total = 0.0
-    for p, w in m.atoms:
+    for p, w in atoms:
         if p == 0.0:
             if n < 0:
                 return math.inf

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .measure import AtomicMeasure, moment, ca_sequence
+from .measure import AtomicMeasure, atoms_moment, ca_sequence
 from .tree import IndeterminateError, Materialized, TreeFamily, UnknownVertexError, _PAIR_RE
 
 __all__ = [
     "IncompleteTruncationError",
     "UnknownWeightError",
+    "NonFiniteWeightError",
     "WeightSystem",
     "FredholmData",
     "NormResult",
@@ -50,6 +51,8 @@ __all__ = [
     "vec_inner",
     "vec_norm",
     "shift_norms_squared",
+    "LocalData",
+    "local_data",
 ]
 
 
@@ -63,6 +66,39 @@ class UnknownWeightError(KeyError):
     pass
 
 
+class NonFiniteWeightError(ValueError):
+    """A weight, or a parameter that generates weights, is NaN or infinite."""
+
+
+def _finite(x, what: str) -> None:
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise NonFiniteWeightError(f"{what} is not finite: {x!r}")
+
+
+def _pivot_ratio(terms, hi: int, lo: int, pivot: float) -> float:
+    """sum c*moment(mu, hi) / sum c*moment(mu, lo) over the (c, mu) terms.
+
+    Where that quotient under- or overflows (0/0, x/0, inf, or a spurious
+    0), it is taken over the points divided by ``pivot`` and multiplied by
+    pivot**(hi - lo): the pivot atom then contributes exactly c times its
+    mass, and every other atom at most that.
+    """
+    def quotient(scale):
+        def s(n):
+            return sum(c * atoms_moment(((p / scale, m) for p, m in mu.atoms), n) for c, mu in terms)
+        return s(hi) / s(lo)
+
+    try:
+        r = quotient(1.0)  # p / 1.0 is p: the plain quotient
+    except (ZeroDivisionError, OverflowError):
+        if not pivot > 0.0:
+            raise
+        r = math.nan
+    if (r != 0.0 and math.isfinite(r)) or not pivot > 0.0:
+        return r
+    return pivot ** (hi - lo) * quotient(pivot)
+
+
 # ---------------------------------------------------------------------------
 # Tail rules: closed-form weight generators for the un-materialized part.
 # Each rule reports its sup/inf over indices >= some start, with an exactness
@@ -73,6 +109,9 @@ class UnknownWeightError(KeyError):
 @dataclass(frozen=True)
 class ConstantTail:
     value_: float
+
+    def __post_init__(self):
+        _finite(self.value_, "constant tail value")
 
     def value(self, idx: int) -> float:
         return self.value_
@@ -93,6 +132,10 @@ class GeometricTail:
 
     scale: float
     ratio: float
+
+    def __post_init__(self):
+        _finite(self.scale, "power tail scale")
+        _finite(self.ratio, "power tail ratio")
 
     def value(self, idx: int) -> float:
         return self.scale * self.ratio ** idx
@@ -116,6 +159,9 @@ class FactorialTail:
     """value(i) = scale * i!."""
 
     scale: float = 1.0
+
+    def __post_init__(self):
+        _finite(self.scale, "factorial tail scale")
 
     def value(self, idx: int) -> float:
         return self.scale * math.factorial(idx)
@@ -160,12 +206,15 @@ class MomentRatioTail:
     """value(j)**2 = m_{j-1}/m_{j-2} for the moments of a fixed measure.
 
     The ratios increase to the top of the support, so the sup is exact.
+    Deep indices, where the moments under- or overflow, are evaluated
+    relative to the top of the support.
     """
 
     measure: AtomicMeasure
 
     def value(self, idx: int) -> float:
-        return math.sqrt(moment(self.measure, idx - 1) / moment(self.measure, idx - 2))
+        mu = self.measure
+        return math.sqrt(_pivot_ratio([(1.0, mu)], idx - 1, idx - 2, mu.support_max()))
 
     def sup(self, start: int):
         return math.sqrt(self.measure.support_max()), True
@@ -207,19 +256,22 @@ class TrunkMomentRatioTail:
     """Trunk weights of the subnormal model on the rootless broom.
 
     value(k)**2 = (sum_i c_i^2 m_i(-(k+1))) / (sum_i c_i^2 m_i(-(k+2))),
-    a nonincreasing sequence, so the sup is its first value.
+    a nonincreasing sequence, so the sup is its first value.  Deep indices,
+    where the negative moments overflow, are evaluated relative to the
+    smallest point.
     """
 
     lambda1: tuple
     measures: tuple
 
-    def _s(self, order: int) -> float:
-        return sum(
-            c ** 2 * moment(mu, -order) for c, mu in zip(self.lambda1, self.measures)
-        )
+    def __post_init__(self):
+        for i, c in enumerate(self.lambda1):
+            _finite(c, f"trunk lambda1[{i}]")
 
     def value(self, idx: int) -> float:
-        return math.sqrt(self._s(idx + 1) / self._s(idx + 2))
+        terms = [(c ** 2, mu) for c, mu in zip(self.lambda1, self.measures)]
+        low = min((mu.support_min() for c, mu in terms if c and mu.atoms), default=0.0)
+        return math.sqrt(_pivot_ratio(terms, -(idx + 1), -(idx + 2), low))
 
     def sup(self, start: int):
         return self.value(start), True
@@ -290,6 +342,10 @@ class BranchRule:
     head: tuple
     tail: Optional[object] = None
     start: int = 1
+
+    def __post_init__(self):
+        for i, v in enumerate(self.head):
+            _finite(v, f"head[{i}]")
 
     def value(self, idx: int) -> complex:
         off = idx - self.start
@@ -434,6 +490,9 @@ class BinaryWeights:
     spine: BranchRule
     off_spine: float = 1.0
 
+    def __post_init__(self):
+        _finite(self.off_spine, "off_spine")
+
     def lookup(self, v: str):
         m = _PAIR_RE.match(v)
         if not m:
@@ -456,6 +515,10 @@ class WeightSystem:
 
     base: Mapping[str, complex] = field(default_factory=dict)
     rules: Optional[object] = None
+
+    def __post_init__(self):
+        for v, x in self.base.items():
+            _finite(x, f"weight of vertex {v!r}")
 
     def weight(self, v: str) -> complex:
         if v in self.base:
@@ -483,6 +546,17 @@ class WeightSystem:
         return out
 
 
+def _rule_from_json(item: dict, start: int, where: str) -> BranchRule:
+    try:
+        return BranchRule(
+            head=tuple(_num_from_json(x) for x in item.get("head", [])),
+            tail=tail_from_json(item["tail"]) if "tail" in item else None,
+            start=int(item.get("start", start)),
+        )
+    except ValueError as e:  # name the rule whose value is refused
+        raise ValueError(f"{where}: {e}") from None
+
+
 def weights_from_json(d: dict, family: Optional[TreeFamily] = None) -> WeightSystem:
     base = {v: _num_from_json(x) for v, x in d.get("base", {}).items()}
     rules = None
@@ -491,44 +565,20 @@ def weights_from_json(d: dict, family: Optional[TreeFamily] = None) -> WeightSys
             raise ValueError("branch tail rules need a broom family")
         branches = [None] * family.eta
         for item in d.get("tails", []):
-            b = BranchRule(
-                head=tuple(_num_from_json(x) for x in item.get("head", [])),
-                tail=tail_from_json(item["tail"]) if "tail" in item else None,
-                start=int(item.get("start", 1)),
-            )
-            branches[int(item["branch"]) - 1] = b
+            branches[int(item["branch"]) - 1] = _rule_from_json(item, 1, f"branch {item['branch']}")
         if any(b is None for b in branches):
             raise ValueError("every branch 1..eta needs a rule")
-        trunk = None
-        if "trunk" in d:
-            tr = d["trunk"]
-            trunk = BranchRule(
-                head=tuple(_num_from_json(x) for x in tr.get("head", [])),
-                tail=tail_from_json(tr["tail"]) if "tail" in tr else None,
-                start=int(tr.get("start", 0)),
-            )
+        trunk = _rule_from_json(d["trunk"], 0, "trunk") if "trunk" in d else None
         rules = BroomWeights(eta=family.eta, kappa=family.kappa, branches=tuple(branches), trunk=trunk)
     elif "pos" in d or "neg" in d:
         if family is None or family.kind not in ("z_plus", "z", "z_minus"):
             raise ValueError("chain rules need a line family")
-        def mk(key):
-            if key not in d:
-                return None
-            item = d[key]
-            return BranchRule(
-                head=tuple(_num_from_json(x) for x in item.get("head", [])),
-                tail=tail_from_json(item["tail"]) if "tail" in item else None,
-                start=int(item.get("start", 1 if key == "pos" else 0)),
-            )
-        rules = ChainWeights(kind=family.kind, pos=mk("pos"), neg=mk("neg"))
+        pos = _rule_from_json(d["pos"], 1, "pos") if "pos" in d else None
+        neg = _rule_from_json(d["neg"], 0, "neg") if "neg" in d else None
+        rules = ChainWeights(kind=family.kind, pos=pos, neg=neg)
     elif "mu" in d:
-        mu = d["mu"]
         rules = BinaryWeights(
-            spine=BranchRule(
-                head=tuple(_num_from_json(x) for x in mu.get("head", [])),
-                tail=tail_from_json(mu["tail"]) if "tail" in mu else None,
-                start=int(mu.get("start", 1)),
-            ),
+            spine=_rule_from_json(d["mu"], 1, "mu"),
             off_spine=float(d.get("off_spine", 1.0)),
         )
     return WeightSystem(base=base, rules=rules)
@@ -588,12 +638,54 @@ def apply_adjoint(w: WeightSystem, m: Materialized, f: Mapping[str, complex]) ->
     return _clean(out)
 
 
+@dataclass(frozen=True)
+class LocalData:
+    """|lambda_v|, |lambda_v|**2 and ||S e_u||^2 by vertex id (see
+    :attr:`~treeshift.tree.Materialized.arrays`).
+
+    Only the weights of children of complete vertices are resolved; ``mod``
+    and ``mod2`` are NaN elsewhere and ``norms2`` is 0 on incomplete vertices.
+    ``edge_parent`` is the parent of each entry of ``child_idx``;
+    ``checkable`` marks complete vertices whose children are all complete.
+    """
+
+    mod: np.ndarray
+    mod2: np.ndarray
+    norms2: np.ndarray
+    edge_parent: np.ndarray
+    checkable: np.ndarray
+
+
+def local_data(w: WeightSystem, m: Materialized) -> LocalData:
+    """Resolve every weight below a complete vertex once, through ``w.weight``."""
+    ar = m.arrays
+    names = m.tree.vertices
+    n = len(names)
+    ep = ar.parent[ar.child_idx]
+    below = ar.complete[ep]
+    kids = ar.child_idx[below]
+    mods = [abs(w.weight(names[v])) for v in kids.tolist()]
+    mod = np.full(n, np.nan)
+    mod[kids] = mods
+    bad = kids[~np.isfinite(mod[kids])]
+    if bad.size:
+        v = names[bad.min()]
+        raise NonFiniteWeightError(f"weight of vertex {v!r} is not finite: {w.weight(v)!r}")
+    sq = [x ** 2 for x in mods]  # pow, as the scalar formulas take it, not x * x
+    mod2 = np.full(n, np.nan)
+    mod2[kids] = sq
+    # bincount adds in storage order: per parent, children in canonical order
+    norms2 = np.bincount(ep[below], weights=sq, minlength=n)
+    checkable = ar.complete.copy()
+    checkable[ep[~ar.complete[ar.child_idx]]] = False
+    return LocalData(mod, mod2, norms2, ep, checkable)
+
+
 def shift_norms_squared(w: WeightSystem, m: Materialized) -> dict:
     """u -> ||S e_u||^2 over complete vertices."""
-    out = {}
-    for u in m.complete:
-        out[u] = sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
-    return out
+    ids = np.flatnonzero(m.arrays.complete)
+    n2 = local_data(w, m).norms2[ids]
+    return dict(zip((m.tree.vertices[u] for u in ids.tolist()), n2.tolist()))
 
 
 @dataclass(frozen=True)
@@ -608,10 +700,12 @@ class NormResult:
 def norm(w: WeightSystem, m: Materialized) -> NormResult:
     """sup_u ||S e_u||; exact when tails admit provable sups, else a lower
     bound at the materialization depth."""
-    best = 0.0
-    for u in m.complete:
-        best = max(best, sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u]))
-    exact = not m.boundary_root and m.complete == frozenset(m.tree.vertices)
+    return _norm(w, m, local_data(w, m))
+
+
+def _norm(w: WeightSystem, m: Materialized, loc: LocalData) -> NormResult:
+    best = float(loc.norms2.max(initial=0.0))
+    exact = not m.boundary_root and bool(m.arrays.complete.all())
     if w.rules is not None:
         exact = True
         if isinstance(w.rules, BinaryWeights):
@@ -684,10 +778,9 @@ class FredholmData:
 def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     """Kernel/cokernel counters and the index, promoted to exact when the
     tail rules pin down the un-materialized part."""
-    t = m.tree
-    norms2 = shift_norms_squared(w, m)
+    ar = m.arrays
     have_rules = w.rules is not None
-    fully_finite = (not m.boundary_root) and m.complete == frozenset(t.vertices)
+    fully_finite = (not m.boundary_root) and bool(ar.complete.all())
     exact = fully_finite or have_rules
 
     if have_rules and isinstance(w.rules, BinaryWeights):
@@ -710,33 +803,26 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
                     exact=True, reason="a whole tail of weights vanishes",
                 )
         exact = exact and tails_cover
+    if not exact:
+        raise IndeterminateError(
+            "structural counters are not finitely determined at this depth"
+        )
 
-    a = sum(1 for u, s in norms2.items() if s == 0.0)
-    b = 0
-    for u, s in norms2.items():
-        deg = len(t.children[u])
-        if deg == 0:
-            continue
-        b += (deg - 1) if s > 0.0 else deg
-    c_candidates = []
-    for v in t.vertices:
-        p = t.parent.get(v)
-        if p is None or p not in m.complete:
-            continue
-        if len(t.children[p]) == 1:
-            lam = abs(w.weight(v))
-            if lam != 0.0:
-                c_candidates.append(lam)
+    loc = local_data(w, m)
+    deg = np.diff(ar.child_ptr)
+    live = ar.complete & (deg > 0)
+    a = int(np.count_nonzero(ar.complete & (loc.norms2 == 0.0)))
+    b = int(np.sum(np.where(loc.norms2[live] > 0.0, deg[live] - 1, deg[live])))
+    ep = loc.edge_parent
+    chain = loc.mod[ar.child_idx[ar.complete[ep] & (deg[ep] == 1)]]
+    chain = chain[chain != 0.0]
+    c_candidates = [float(chain.min())] if chain.size else []
     c_candidates.extend(x for x in tail_infs if x > 0.0)
     if have_rules and any(x == 0.0 for x in tail_infs):
         c = 0.0
     else:
         c = min(c_candidates) if c_candidates else math.inf
 
-    if not exact:
-        raise IndeterminateError(
-            "structural counters are not finitely determined at this depth"
-        )
     is_f = c > 0.0 and b < math.inf
     rooted = m.has_true_root() if m.family is None else m.family.rooted()
     index = (a - b - 1 if rooted else a - b) if is_f else None
@@ -798,30 +884,37 @@ class DomainInclusionReport:
     depth: int
 
 
-def _tu_quantities(child_norms2: Sequence[float], child_mods: Sequence[float]):
-    """Exact norms of the diagonal-minus-rank-one comparison operator.
+def _tu_quantities(mods: np.ndarray, child_norms2: np.ndarray):
+    """Exact norms of the diagonal-minus-rank-one comparison operators.
 
-    The diagonal is assembled from leave-one-out weight sums, which avoids the
+    Row r of the (g, d) inputs holds one vertex's child moduli and child
+    norms squared; all g operators are d x d and solved in one batch.  The
+    diagonal is assembled from leave-one-out weight sums, which avoids the
     catastrophic cancellation the naive d^2 - d^2 lam^2/(1+n^2) form suffers
-    on fast-growing weights.  Returns (operator norm, Hilbert-Schmidt norm,
-    trace, diagonal sup).
+    on fast-growing weights.  Returns per-row (operator norm,
+    Hilbert-Schmidt norm, trace, diagonal sup).  Every reduction runs along
+    C-contiguous rows, so each row's floats are those of a one-vertex call.
     """
-    d2 = np.asarray(child_norms2, dtype=float)
-    lam = np.asarray(child_mods, dtype=float)
+    d2, lam = child_norms2, mods
+    g, d = lam.shape
     lam2 = lam * lam
-    denom = 1.0 + float(np.sum(lam2))  # 1 + ||S e_u||^2
-    loo = np.array([1.0 + float(np.sum(np.delete(lam2, i))) for i in range(len(lam2))])
-    mat = -np.outer(np.sqrt(d2) * lam, np.sqrt(d2) * lam) / denom
-    np.fill_diagonal(mat, d2 * loo / denom)
-    evs = np.linalg.eigvalsh(mat)
-    t_norm = float(evs[-1])
-    hs = float(np.sqrt(np.sum(mat * mat)))
-    tr = float(np.trace(mat))
-    return t_norm, hs, tr, float(np.max(d2)) if len(d2) else 0.0
+    denom = 1.0 + np.sum(lam2, axis=1)  # 1 + ||S e_u||^2
+    loo = np.ones((g, d))
+    if d > 1:
+        for i in range(d):
+            loo[:, i] += np.sum(np.delete(lam2, i, axis=1), axis=1)
+    x = np.sqrt(d2) * lam
+    mat = -(x[:, :, None] * x[:, None, :]) / denom[:, None, None]
+    diag = np.arange(d)
+    mat[:, diag, diag] = d2 * loo / denom[:, None]
+    t_norm = np.linalg.eigvalsh(mat)[:, -1]
+    hs = np.sqrt(np.sum(mat * mat, axis=(1, 2)))
+    tr = np.trace(mat, axis1=1, axis2=2)
+    return t_norm, hs, tr, np.max(d2, axis=1)
 
 
 def _binary_envs(w: WeightSystem, depth: int):
-    """Per-level local data (weights and child norms) on the binary family.
+    """Per-level local data (child moduli and child norms) on the binary family.
 
     The generic off-spine environment comes first; the spine environments
     follow in level order so the tail of the series shows the growth.
@@ -830,11 +923,30 @@ def _binary_envs(w: WeightSystem, depth: int):
     mu = lambda i: abs(spine.value(i))
     white_n2 = 2.0 * off ** 2
     grey_n2 = lambda i: mu(i + 1) ** 2 + off ** 2  # norm at spine vertex (i,1)
-    envs = [([off, off], [white_n2, white_n2])]
+    mods, norms2 = [[off, off]], [[white_n2, white_n2]]
     # the root behaves like spine level 0; then spine vertices (i,1)
     for i in range(0, depth + 1):
-        envs.append(([mu(i + 1), off], [grey_n2(i + 1), white_n2]))
-    return envs
+        mods.append([mu(i + 1), off])
+        norms2.append([grey_n2(i + 1), white_n2])
+    return mods, norms2
+
+
+def _rising(vals: np.ndarray, level: np.ndarray, names) -> bool:
+    """Is the running sup of vals, scanned by (level, name), still strictly
+    growing at the last two entries?
+
+    It last grows where the first maximal entry sits, so only the entries
+    scanned after that one need counting.
+    """
+    vals = np.where(np.isnan(vals), -math.inf, vals)  # a NaN never raises the sup
+    top = vals.max(initial=-math.inf)
+    if len(vals) < 3 or not top > 0.0:
+        return False
+    lv, name = min((level[i], names[i]) for i in np.flatnonzero(vals == top).tolist())
+    later = int(np.count_nonzero(level > lv))
+    if later <= 1:
+        later += sum(1 for i in np.flatnonzero(level == lv).tolist() if names[i] > name)
+    return later <= 1
 
 
 def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[int] = None) -> DomainInclusionReport:
@@ -845,65 +957,52 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
     together with its Hilbert-Schmidt and trace relaxations and the raw
     diagonal sup.  On the binary family with a named spine sequence the
     boundedness verdicts are exact; otherwise they are at-depth unless the
-    operator itself is provably bounded.
+    operator itself is provably bounded.  The local data is scanned by level,
+    then vertex name; only the growth flags depend on that order.
     """
     if depth is None:
         depth = m.depth or 8
 
-    fwd_vals: list = []
-    t_vals: list = []
-    hs_vals: list = []
-    tr_vals: list = []
-    diag_vals: list = []
-
+    loc = local_data(w, m)
     binary = w.rules is not None and isinstance(w.rules, BinaryWeights)
     if binary:
-        for mods, child_n2 in _binary_envs(w, depth):
-            fwd_vals.append(sum(l ** 2 / (1.0 + n2) for l, n2 in zip(mods, child_n2)))
-            t, hs, tr, dg = _tu_quantities(child_n2, mods)
-            t_vals.append(t)
-            hs_vals.append(hs)
-            tr_vals.append(tr)
-            diag_vals.append(dg)
+        mods, norms2 = _binary_envs(w, depth)
+        fwd_vals = np.array([sum(l ** 2 / (1.0 + n2) for l, n2 in zip(ls, ns)) for ls, ns in zip(mods, norms2)])
+        t_vals, hs_vals, tr_vals, diag_vals = _tu_quantities(np.array(mods), np.array(norms2))
+        level, names = np.arange(len(mods)), [""] * len(mods)
     else:
-        norms2 = shift_norms_squared(w, m)
-        lv = m.levels()
-        order = sorted(
-            (u for u in m.complete), key=lambda u: (lv[u], u)
-        )
-        for u in order:
-            kids = m.tree.children[u]
-            if not kids or any(v not in m.complete for v in kids):
-                continue
-            mods = [abs(w.weight(v)) for v in kids]
-            child_n2 = [norms2[v] for v in kids]
-            fwd_vals.append(sum(l ** 2 / (1.0 + n2) for l, n2 in zip(mods, child_n2)))
-            t, hs, tr, dg = _tu_quantities(child_n2, mods)
-            t_vals.append(t)
-            hs_vals.append(hs)
-            tr_vals.append(tr)
-            diag_vals.append(dg)
+        ar = m.arrays
+        ep, kids = loc.edge_parent, ar.child_idx
+        deg = np.diff(ar.child_ptr)
+        envs = np.flatnonzero(loc.checkable & (deg > 0))
+        # sums over children in storage order, as the one-vertex sum takes them
+        fwd_all = np.bincount(ep, weights=loc.mod2[kids] / (1.0 + loc.norms2[kids]), minlength=len(deg))
+        fwd_vals = fwd_all[envs]
+        t_vals, hs_vals, tr_vals, diag_vals = (np.empty(len(envs)) for _ in range(4))
+        for d in np.unique(deg[envs]).tolist():
+            rows = np.flatnonzero(deg[envs] == d)
+            ch = kids[ar.child_ptr[envs[rows]][:, None] + np.arange(d)]
+            out = _tu_quantities(loc.mod[ch], loc.norms2[ch])
+            for vals, part in zip((t_vals, hs_vals, tr_vals, diag_vals), out):
+                vals[rows] = part
+        level, names = ar.level[envs], [m.tree.vertices[u] for u in envs.tolist()]
 
-    if not fwd_vals:
+    if not len(fwd_vals):
         raise IncompleteTruncationError(m.tree.root, "no vertex has two complete levels")
 
     def mono(vals):
         # running sup still strictly growing at the deepest levels
-        run, last_new = 0.0, -1
-        for i, v in enumerate(vals):
-            if v > run:
-                run, last_new = v, i
-        return last_new >= len(vals) - 2 and len(vals) >= 3
+        return _rising(vals, level, names)
 
-    fwd_sup = max(fwd_vals)
-    bwd_sup = max(t_vals)
+    fwd_sup = float(fwd_vals.max())
+    bwd_sup = float(t_vals.max())
     extras = {
-        "hs_sup": max(hs_vals),
-        "trace_sup": max(tr_vals),
-        "diag_sup": max(diag_vals),
+        "hs_sup": float(hs_vals.max()),
+        "trace_sup": float(tr_vals.max()),
+        "diag_sup": float(diag_vals.max()),
     }
 
-    nr = norm(w, m)
+    nr = _norm(w, m, loc)
     if nr.exact and math.isfinite(nr.value):
         fwd = DirectionReport(fwd_sup, "holds", True, mono(fwd_vals))
         bwd = DirectionReport(bwd_sup, "holds", True, mono(t_vals), extras)

@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
+
+import numpy as np
 
 __all__ = [
     "ValidationError",
@@ -27,6 +30,7 @@ __all__ = [
     "StructuralSets",
     "TreeFamily",
     "Materialized",
+    "TreeArrays",
     "vertex_key",
     "validate",
     "descendants",
@@ -286,12 +290,35 @@ def split_at(t: DirectedTree, u: str) -> tuple:
 
 
 @dataclass(frozen=True)
+class TreeArrays:
+    """Integer view of a materialized prefix.
+
+    Vertex ids are positions in ``tree.vertices``.  The children of ``u`` are
+    ``child_idx[child_ptr[u]:child_ptr[u + 1]]``, in the order of
+    ``tree.children[u]``, so walking the edges in storage order visits parents
+    by increasing id and each parent's children in canonical order.
+    """
+
+    parent: np.ndarray  # parent id, -1 at the root
+    child_ptr: np.ndarray
+    child_idx: np.ndarray
+    complete: np.ndarray  # bool mask
+    level: np.ndarray  # distance from the materialized root
+
+
+@dataclass(frozen=True)
 class Materialized:
     """A finite prefix of a (possibly infinite) directed tree.
 
     ``complete`` lists the vertices all of whose children are present;
     ``boundary_root`` is set when the materialized root is an artifact of the
     truncation (the true tree continues upward).
+
+    ``arrays`` is an integer view of the prefix (:class:`TreeArrays`), built on
+    first use and cached on the instance.  Its ids are positions in
+    ``tree.vertices``, which is sorted by :func:`vertex_key`; a scan "in
+    canonical order" is therefore a scan by increasing id, and the first
+    violation it meets is the violation with the lowest id.
     """
 
     tree: DirectedTree
@@ -319,6 +346,30 @@ class Materialized:
                 out[v] = out[u] + 1
                 stack.append(v)
         return out
+
+    @cached_property
+    def arrays(self) -> TreeArrays:
+        t = self.tree
+        n = len(t.vertices)
+        index = {v: i for i, v in enumerate(t.vertices)}
+        deg = np.fromiter((len(t.children[v]) for v in t.vertices), np.int64, n)
+        child_ptr = np.zeros(n + 1, np.int64)
+        np.cumsum(deg, out=child_ptr[1:])
+        child_idx = np.fromiter(
+            (index[c] for v in t.vertices for c in t.children[v]), np.int64, int(child_ptr[-1])
+        )
+        parent = np.full(n, -1, np.int64)
+        parent[child_idx] = np.repeat(np.arange(n), deg)
+        complete = np.fromiter((v in self.complete for v in t.vertices), bool, n)
+        # pointer doubling: after k rounds every vertex knows its distance to
+        # the ancestor 2**k levels up, or to the root
+        up, live = parent, parent >= 0
+        level = live.astype(np.int64)
+        while live.any():
+            level = level + np.where(live, level[up], 0)
+            up = np.where(live, up[up], -1)
+            live = up >= 0
+        return TreeArrays(parent, child_ptr, child_idx, complete, level)
 
 
 def as_complete(t: DirectedTree) -> Materialized:

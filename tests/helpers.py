@@ -1,12 +1,17 @@
-"""Shared builders for the example operators used across the tests."""
+"""Shared builders for the example operators used across the tests, and the
+per-vertex reference implementations of the closed forms."""
 
 from __future__ import annotations
 
 import math
 import random
 
+import numpy as np
+
 import treeshift as ts
-from treeshift import tree
+from treeshift import classify as cls
+from treeshift import shift, tree
+from treeshift.tree import IndeterminateError, Materialized, vertex_key
 from treeshift.measure import AtomicMeasure
 from treeshift.shift import (
     BranchRule,
@@ -134,3 +139,323 @@ def random_weights(rng: random.Random, t, lo=0.0, hi=3.0, zeros=0.0):
 
 
 TWO_ATOM = AtomicMeasure.from_pairs([(0.5, 0.5), (1.0, 0.5)])
+
+
+# -- per-vertex reference implementations --------------------------------------
+# The closed forms as one Python loop per vertex, in canonical order, straight
+# from the definitions.  The library runs them on integer arrays; the property
+# tests hold the two to identical results.
+
+def ref_norms_squared(w, m):
+    return {u: sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u]) for u in m.complete}
+
+
+def ref_norm(w, m):
+    best = 0.0
+    for u in m.complete:
+        best = max(best, sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u]))
+    exact = not m.boundary_root and m.complete == frozenset(m.tree.vertices)
+    if w.rules is not None:
+        exact = True
+        if isinstance(w.rules, shift.BinaryWeights):
+            s, ok = w.rules.spine.sup_abs()
+            off = w.rules.off_spine
+            best = max(best, s ** 2 + off ** 2, 2 * off ** 2)
+            exact = ok
+        else:
+            for rule in w.rules.rules():
+                s, ok = rule.sup_abs()
+                best = max(best, s ** 2)
+                exact = exact and ok
+    return shift.NormResult(value=math.sqrt(best), exact=exact)
+
+
+def ref_fredholm_data(w, m):
+    t = m.tree
+    norms2 = ref_norms_squared(w, m)
+    have_rules = w.rules is not None
+    exact = ((not m.boundary_root) and m.complete == frozenset(t.vertices)) or have_rules
+    if have_rules and isinstance(w.rules, shift.BinaryWeights):
+        return shift.FredholmData(a=0.0, b=math.inf, c=math.inf, is_fredholm=False, index=None,
+                                  exact=True, reason="every vertex branches")
+    tail_infs = []
+    tails_cover = True
+    if have_rules:
+        for rule in w.rules.rules():
+            iv, ok = rule.inf_abs_nonzero()
+            if iv is not None:
+                tail_infs.append(iv)
+            tails_cover = tails_cover and ok
+            if isinstance(rule.tail, shift.ConstantTail) and rule.tail.value_ == 0.0:
+                return shift.FredholmData(a=math.inf, b=math.inf, c=0.0, is_fredholm=False,
+                                          index=None, exact=True,
+                                          reason="a whole tail of weights vanishes")
+        exact = exact and tails_cover
+    a = sum(1 for s in norms2.values() if s == 0.0)
+    b = 0
+    for u, s in norms2.items():
+        deg = len(t.children[u])
+        if deg:
+            b += (deg - 1) if s > 0.0 else deg
+    c_candidates = []
+    for v in t.vertices:
+        p = t.parent.get(v)
+        if p is not None and p in m.complete and len(t.children[p]) == 1:
+            lam = abs(w.weight(v))
+            if lam != 0.0:
+                c_candidates.append(lam)
+    c_candidates.extend(x for x in tail_infs if x > 0.0)
+    if have_rules and any(x == 0.0 for x in tail_infs):
+        c = 0.0
+    else:
+        c = min(c_candidates) if c_candidates else math.inf
+    if not exact:
+        raise IndeterminateError("structural counters are not finitely determined at this depth")
+    is_f = c > 0.0 and b < math.inf
+    rooted = m.has_true_root() if m.family is None else m.family.rooted()
+    index = (a - b - 1 if rooted else a - b) if is_f else None
+    return shift.FredholmData(a=a, b=b, c=c, is_fredholm=is_f, index=index, exact=True)
+
+
+def ref_tu_quantities(child_norms2, child_mods):
+    d2 = np.asarray(child_norms2, dtype=float)
+    lam = np.asarray(child_mods, dtype=float)
+    lam2 = lam * lam
+    denom = 1.0 + float(np.sum(lam2))
+    loo = np.array([1.0 + float(np.sum(np.delete(lam2, i))) for i in range(len(lam2))])
+    mat = -np.outer(np.sqrt(d2) * lam, np.sqrt(d2) * lam) / denom
+    np.fill_diagonal(mat, d2 * loo / denom)
+    evs = np.linalg.eigvalsh(mat)
+    return (float(evs[-1]), float(np.sqrt(np.sum(mat * mat))), float(np.trace(mat)),
+            float(np.max(d2)) if len(d2) else 0.0)
+
+
+def ref_domain_inclusion_criteria(w, m, depth=None):
+    if depth is None:
+        depth = m.depth or 8
+    envs = []
+    binary = isinstance(w.rules, shift.BinaryWeights)
+    if binary:
+        spine, off = w.rules.spine, w.rules.off_spine
+        mu = lambda i: abs(spine.value(i))
+        white = 2.0 * off ** 2
+        envs.append(([off, off], [white, white]))
+        for i in range(0, depth + 1):
+            envs.append(([mu(i + 1), off], [mu(i + 2) ** 2 + off ** 2, white]))
+    else:
+        norms2 = ref_norms_squared(w, m)
+        lv = m.levels()
+        for u in sorted(m.complete, key=lambda u: (lv[u], u)):
+            kids = m.tree.children[u]
+            if kids and all(v in m.complete for v in kids):
+                envs.append(([abs(w.weight(v)) for v in kids], [norms2[v] for v in kids]))
+    if not envs:
+        raise shift.IncompleteTruncationError(m.tree.root, "no vertex has two complete levels")
+    fwd_vals = [sum(l ** 2 / (1.0 + n2) for l, n2 in zip(mods, n2s)) for mods, n2s in envs]
+    t_vals, hs_vals, tr_vals, diag_vals = zip(*(ref_tu_quantities(n2s, mods) for mods, n2s in envs))
+
+    def mono(vals):
+        run, last_new = 0.0, -1
+        for i, v in enumerate(vals):
+            if v > run:
+                run, last_new = v, i
+        return last_new >= len(vals) - 2 and len(vals) >= 3
+
+    extras = {"hs_sup": max(hs_vals), "trace_sup": max(tr_vals), "diag_sup": max(diag_vals)}
+    nr = ref_norm(w, m)
+    if nr.exact and math.isfinite(nr.value):
+        fwd_v = bwd_v = "holds"
+        exact = True
+    elif binary:
+        tail = w.rules.spine.tail
+        fwd_v, bwd_v = {
+            shift.FactorialTail: ("holds", "fails"),
+            shift.GeometricTail: ("holds", "holds"),
+            shift.AffineTail: ("fails", "holds"),
+        }.get(type(tail), ("at-depth", "at-depth"))
+        exact = fwd_v != "at-depth"
+    else:
+        fwd_v = bwd_v = "at-depth"
+        exact = False
+    return shift.DomainInclusionReport(
+        fwd=shift.DirectionReport(max(fwd_vals), fwd_v, exact, mono(fwd_vals)),
+        bwd=shift.DirectionReport(max(t_vals), bwd_v, exact, mono(t_vals), extras),
+        depth=depth,
+    )
+
+
+def _ref_checkable(m):
+    for u in sorted(m.complete, key=vertex_key):
+        kids = m.tree.children[u]
+        if all(v in m.complete for v in kids):
+            yield u, kids
+
+
+def ref_is_quasinormal(w, m, tol=cls.REL_TOL):
+    norms2 = ref_norms_squared(w, m)
+    common = None
+    for u, kids in _ref_checkable(m):
+        for v in kids:
+            if abs(w.weight(v)) == 0.0:
+                continue
+            if not cls._eq(norms2[u], norms2[v], tol):
+                return cls.Verdict("no", True, witness={
+                    "parent": u, "child": v, "norms_squared": [norms2[u], norms2[v]]})
+            common = norms2[u]
+    ranges = cls._tail_ranges(w)
+    exact = (
+        ranges is not None
+        and all(ok and lo == hi for lo, hi, ok in ranges)
+        and cls._heads_covered(w, m)
+    ) or cls._binary_constant(w, m)
+    detail = {}
+    nonzero = all(abs(w.weight(v)) > 0 for v in m.tree.vertices if m.tree.parent.get(v) is not None)
+    if common is not None and nonzero:
+        detail["scalar_multiple_of_isometry"] = math.sqrt(common)
+    return cls.Verdict("yes", exact, depth=m.depth or None, detail=detail)
+
+
+def ref_is_p_hyponormal(w, m, p=1.0, tol=cls.REL_TOL) -> cls.Verdict:
+    """The per-vertex loop of is_hyponormal (p = 1) and is_p_hyponormal."""
+    norms2 = ref_norms_squared(w, m)
+    for u, kids in _ref_checkable(m):
+        total = 0.0
+        for v in kids:
+            lam = abs(w.weight(v))
+            if norms2[v] == 0.0:
+                if lam != 0.0:
+                    return cls.Verdict(
+                        "no", True,
+                        witness={"parent": u, "vertex": v, "reason": "weight into a kernel vector"},
+                    )
+                continue
+            total += lam ** 2 / norms2[v] ** p
+        if p != 1.0:
+            if norms2[u] == 0.0:
+                continue
+            total *= norms2[u] ** (p - 1.0)
+        if not cls._leq(total, 1.0, tol):
+            return cls.Verdict("no", True, witness={"vertex": u, "lhs": total})
+
+    statuses = []
+    rules = cls._rules_list(w)
+    if rules is not None:
+        statuses = [cls._tail_hypo_status(r.tail) for r in rules if r.tail is not None]
+        for r, st in zip([r for r in rules if r.tail is not None], statuses):
+            if st == "fails":
+                j = r.tail_start() + 1
+                return cls.Verdict(
+                    "no", True,
+                    witness={"tail_index": j, "reason": "weights decrease along a tail"},
+                )
+    exact = (
+        rules is not None
+        and all(st == "ok" for st in statuses)
+        and cls._heads_covered(w, m)
+    )
+    if rules is None and not isinstance(w.rules, shift.BinaryWeights):
+        exact = m.complete == frozenset(m.tree.vertices) and not m.boundary_root
+    return cls.Verdict("yes", exact, depth=m.depth or None)
+
+
+def ref_is_isometry(w: WeightSystem, m: Materialized, tol: float = cls.REL_TOL) -> cls.Verdict:
+    """sum of squared child weights equals 1 at every vertex."""
+    for u in sorted(m.complete, key=vertex_key):
+        s = sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
+        if not cls._eq(s, 1.0, tol):
+            return cls.Verdict("no", True, witness={"vertex": u, "norm_squared": s})
+    ranges = cls._tail_ranges(w)
+    exact = (
+        ranges is not None
+        and all(ok and lo == 1.0 and hi == 1.0 for lo, hi, ok in ranges)
+        and cls._heads_covered(w, m)
+    )
+    if ranges is None and not isinstance(w.rules, shift.BinaryWeights):
+        exact = m.complete == frozenset(m.tree.vertices) and not m.boundary_root
+    return cls.Verdict("yes", exact, depth=m.depth or None)
+
+
+def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: float) -> cls.Verdict:
+    """Shared detector for the rootless chain-with-dead-branches structure."""
+    if m.has_true_root() if m.family is None else m.family.rooted():
+        if cls._zero_everywhere(w, m):
+            return cls.Verdict("yes", True, detail={"structure": "zero operator"})
+        nz = next(
+            v for v in sorted(m.tree.vertices, key=vertex_key)
+            if m.tree.parent.get(v) is not None and abs(w.weight(v)) != 0.0
+        )
+        return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
+
+    norms2 = ref_norms_squared(w, m)
+    chain = []
+    cur = m.tree.root
+    terminal = False
+    unresolved: set = set()
+    while True:
+        kids = m.tree.children[cur]
+        if any(v not in m.complete for v in kids):
+            unresolved.update(kids)  # the chain leaves the truncation here
+            break
+        plus = [v for v in kids if norms2[v] > 0.0]
+        if len(plus) > 1:
+            return cls.Verdict("no", True, witness={"vertex": cur, "reason": "two live children"})
+        dead = [v for v in kids if norms2[v] == 0.0 and abs(w.weight(v)) != 0.0]
+        if plus:
+            v = plus[0]
+            lam = abs(w.weight(v))
+            if dead:
+                return cls.Verdict("no", True, witness={"vertex": dead[0], "reason": "nonzero weight off the chain"})
+            bad = (
+                not cls._eq(norms2[v], lam * lam, tol)
+                if require_equal
+                else not cls._leq(norms2[v], lam * lam, tol)
+            )
+            if bad:
+                # prefer the root cause: a nonzero weight feeding a dead branch below v
+                for x in m.tree.children[v]:
+                    if x in m.complete and norms2.get(x, 1.0) == 0.0 and abs(w.weight(x)) != 0.0:
+                        return cls.Verdict(
+                            "no", True,
+                            witness={"vertex": x, "reason": "nonzero weight off the chain"},
+                        )
+                return cls.Verdict(
+                    "no", True,
+                    witness={"vertex": v, "child_norm_squared": norms2[v], "weight_squared": lam * lam},
+                )
+            chain.append(v)
+            cur = v
+            continue
+        # no live child: a terminal broom may absorb one last nonzero step
+        if require_equal and any(abs(w.weight(v)) != 0.0 for v in kids):
+            v = next(v for v in kids if abs(w.weight(v)) != 0.0)
+            return cls.Verdict("no", True, witness={"vertex": v, "reason": "terminal weights break normality"})
+        if not require_equal and chain:
+            last = chain[-1]
+            s = norms2.get(last, 0.0)
+            if not cls._leq(s, abs(w.weight(last)) ** 2, tol):
+                return cls.Verdict(
+                    "no", True,
+                    witness={"vertex": last, "children_norm_squared": s},
+                )
+        unresolved.update(kids)  # terminal fan may carry nonzero weights
+        terminal = True
+        break
+
+    # everything off the extracted chain must carry zero weight
+    allowed = set(chain) | unresolved
+    for v in sorted(m.tree.vertices, key=vertex_key):
+        if m.tree.parent.get(v) is None or v in allowed:
+            continue
+        if abs(w.weight(v)) != 0.0:
+            return cls.Verdict("no", True, witness={"vertex": v, "reason": "nonzero weight off the chain"})
+
+    ranges = cls._tail_ranges(w)
+    exact = (
+        ranges is not None
+        and all(ok and lo == hi for lo, hi, ok in ranges)
+        and cls._heads_covered(w, m)
+    )
+    return cls.Verdict(
+        "yes", exact, depth=m.depth or None,
+        detail={"chain": chain, "terminal": terminal},
+    )

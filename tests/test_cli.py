@@ -212,3 +212,115 @@ def test_strict_mode_indeterminate(capsys, tmp_path):
 def test_canonical_float_format():
     s = cli.dumps_canonical({"x": 1.0, "y": 1 / 3, "z": math.inf})
     assert s == '{"x": 1.0, "y": 0.33333333333333331, "z": "inf"}'
+
+
+# -- golden reports -----------------------------------------------------------
+# Exact stdout of a fixed set of invocations, so that a rewrite of the closed
+# forms cannot move a single byte of a report.
+
+GOLDEN_FILES = {
+    "broom.json": {"kind": "family", "family": "t_eta_kappa", "eta": 3, "kappa": 2, "depth": 12},
+    "broom_w.json": {
+        "tails": [
+            {"branch": 1, "head": [0.7], "tail": {"kind": "power", "scale": 0.9, "ratio": 0.97}},
+            {"branch": 2, "head": [0.4, 1.3],
+             "tail": {"kind": "moment_ratio", "atoms": [[0.3, 0.25], [1.2, 0.75]]}},
+            {"branch": 3, "tail": {"kind": "ca_ratio", "atoms": [[0.6, 0.3]]}},
+        ],
+        "trunk": {"head": [1.1, 0.8]},
+    },
+    "rootless.json": {"kind": "family", "family": "t_eta_kappa", "eta": 2, "kappa": "inf", "depth": 10},
+    "rootless_w.json": {
+        "tails": [
+            {"branch": 1, "head": [0.55],
+             "tail": {"kind": "moment_ratio", "atoms": [[0.8, 0.5], [1.5, 0.5]]}},
+            {"branch": 2, "head": [0.5], "tail": {"kind": "power", "scale": 1.1, "ratio": 1.01}},
+        ],
+        "trunk": {"head": [0.9], "tail": {"kind": "power", "scale": 0.85, "ratio": 0.995}},
+    },
+    "line.json": {"kind": "family", "family": "z", "depth": 6},
+    "line_w.json": {
+        "pos": {"tail": {"kind": "constant", "value": 1.3}},
+        "neg": {"tail": {"kind": "constant", "value": 1.3}},
+    },
+    # root with four children; kernel vectors at b, d's subtree and leaves
+    "explicit.json": {
+        "kind": "explicit",
+        "vertices": ["r", "a", "b", "c", "d", "a1", "a2", "a3", "b1", "c1", "c2",
+                     "a11", "c11", "c12", "c13", "c14"],
+        "edges": [["r", "a"], ["r", "b"], ["r", "c"], ["r", "d"],
+                  ["a", "a1"], ["a", "a2"], ["a", "a3"], ["b", "b1"], ["c", "c1"], ["c", "c2"],
+                  ["a1", "a11"], ["c1", "c11"], ["c1", "c12"], ["c1", "c13"], ["c1", "c14"]],
+        "incomplete": ["a11", "a2", "a3"],
+    },
+    "explicit_w.json": {"base": {
+        "a": [0.6, 0.3], "b": 0.5, "c": [0.0, 1.1], "d": 0.0,
+        "a1": 1.2, "a2": [0.3, -0.4], "a3": 0.0, "b1": 0.0,
+        "c1": 0.9, "c2": 0.0, "a11": 2.0,
+        "c11": 0.5, "c12": 0.0, "c13": [0.1, 0.7], "c14": 1.3,
+    }},
+}
+
+GOLDEN = [
+    (['classify', 'broom.json', 'broom_w.json'], 0,
+     '{"predicates": {"cohyponormal": {"exact": true, "verdict": "no", "witness": {"reason": "rooted and nonzero", "vertex": "-1"}}, "hyponormal": {"exact": true, "verdict": "no", "witness": {"lhs": 1.5472253126522431, "vertex": "0"}}, "isometry": {"exact": true, "verdict": "no", "witness": {"norm_squared": 0.64000000000000012, "vertex": "-2"}}, "normal": {"exact": true, "verdict": "no", "witness": {"reason": "rooted and nonzero", "vertex": "-1"}}, "quasinormal": {"exact": true, "verdict": "no", "witness": {"child": "-1", "norms_squared": [0.64000000000000012, 1.2100000000000002], "parent": "-2"}}}, "summary": {"cohyponormal": "no", "hyponormal": "no", "isometry": "no", "normal": "no", "quasinormal": "no"}}\n'),
+    (['classify', 'rootless.json', 'rootless_w.json', '--p', '2'], 0,
+     '{"predicates": {"cohyponormal": {"exact": true, "verdict": "no", "witness": {"child_norm_squared": 0.66681773707138559, "vertex": "-9", "weight_squared": 0.66016623014409848}}, "hyponormal": {"exact": true, "verdict": "no", "witness": {"lhs": 1.4660633484162897, "vertex": "-1"}}, "isometry": {"exact": true, "verdict": "no", "witness": {"norm_squared": 0.66016623014409848, "vertex": "-10"}}, "normal": {"exact": true, "verdict": "no", "witness": {"child_norm_squared": 0.66681773707138559, "vertex": "-9", "weight_squared": 0.66016623014409848}}, "p_hyponormal[2.0]": {"exact": true, "verdict": "no", "witness": {"lhs": 2.1493417415695832, "vertex": "-1"}}, "quasinormal": {"exact": true, "verdict": "no", "witness": {"child": "-9", "norms_squared": [0.66016623014409848, 0.66681773707138559], "parent": "-10"}}}, "summary": {"cohyponormal": "no", "hyponormal": "no", "isometry": "no", "normal": "no", "p_hyponormal[2.0]": "no", "quasinormal": "no"}}\n'),
+    (['classify', 'rootless.json', 'rootless_w.json', '--p', '0.5'], 0,
+     '{"predicates": {"cohyponormal": {"exact": true, "verdict": "no", "witness": {"child_norm_squared": 0.66681773707138559, "vertex": "-9", "weight_squared": 0.66016623014409848}}, "hyponormal": {"exact": true, "verdict": "no", "witness": {"lhs": 1.4660633484162897, "vertex": "-1"}}, "isometry": {"exact": true, "verdict": "no", "witness": {"norm_squared": 0.66016623014409848, "vertex": "-10"}}, "normal": {"exact": true, "verdict": "no", "witness": {"child_norm_squared": 0.66681773707138559, "vertex": "-9", "weight_squared": 0.66016623014409848}}, "p_hyponormal[0.5]": {"exact": true, "verdict": "no", "witness": {"lhs": 1.2108110291933627, "vertex": "-1"}}, "quasinormal": {"exact": true, "verdict": "no", "witness": {"child": "-9", "norms_squared": [0.66016623014409848, 0.66681773707138559], "parent": "-10"}}}, "summary": {"cohyponormal": "no", "hyponormal": "no", "isometry": "no", "normal": "no", "p_hyponormal[0.5]": "no", "quasinormal": "no"}}\n'),
+    (['classify', 'line.json', 'line_w.json'], 0,
+     '{"predicates": {"cohyponormal": {"depth": 6, "detail": {"chain": ["-5", "-4", "-3", "-2", "-1", "0", "1", "2", "3", "4", "5"], "terminal": false}, "exact": true, "verdict": "yes"}, "hyponormal": {"depth": 6, "exact": true, "verdict": "yes"}, "isometry": {"exact": true, "verdict": "no", "witness": {"norm_squared": 1.6900000000000002, "vertex": "-6"}}, "normal": {"depth": 6, "detail": {"chain": ["-5", "-4", "-3", "-2", "-1", "0", "1", "2", "3", "4", "5"], "terminal": false}, "exact": true, "verdict": "yes"}, "quasinormal": {"depth": 6, "detail": {"scalar_multiple_of_isometry": 1.3}, "exact": true, "verdict": "yes"}}, "summary": {"cohyponormal": "yes", "hyponormal": "yes", "isometry": "no", "normal": "yes", "quasinormal": "yes"}}\n'),
+    (['classify', 'explicit.json', 'explicit_w.json', '--p', '2'], 0,
+     '{"predicates": {"cohyponormal": {"exact": true, "verdict": "no", "witness": {"reason": "rooted and nonzero", "vertex": "a"}}, "hyponormal": {"exact": true, "verdict": "no", "witness": {"parent": "c1", "reason": "weight into a kernel vector", "vertex": "c11"}}, "isometry": {"exact": true, "verdict": "no", "witness": {"norm_squared": 1.6899999999999999, "vertex": "a"}}, "normal": {"exact": true, "verdict": "no", "witness": {"reason": "rooted and nonzero", "vertex": "a"}}, "p_hyponormal[2.0]": {"exact": true, "verdict": "no", "witness": {"parent": "c1", "reason": "weight into a kernel vector", "vertex": "c11"}}, "quasinormal": {"exact": true, "verdict": "no", "witness": {"child": "c1", "norms_squared": [0.81000000000000005, 2.4399999999999999], "parent": "c"}}}, "summary": {"cohyponormal": "no", "hyponormal": "no", "isometry": "no", "normal": "no", "p_hyponormal[2.0]": "no", "quasinormal": "no"}}\n'),
+    (['norm', 'broom.json', 'broom_w.json'], 0,
+     '{"exact": true, "norm": 1.3}\n'),
+    (['norm', 'explicit.json', 'explicit_w.json'], 0,
+     '{"exact": false, "norm": 2.0}\n'),
+    (['oracle-compare', 'broom.json', 'broom_w.json', '--depth', '6'], 0,
+     '{"classifiers_agree": true, "hyponormal_closed_form": "no", "hyponormal_oracle": "no", "norms_agree": true, "oracle_norm": 1.299999999986942, "rel_diff": 1.0044614712639417e-11, "shift_norm": 1.3, "shift_norm_exact": true}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN, ids=[f"{i}-{g[0][0]}" for i, g in enumerate(GOLDEN)])
+def test_golden_reports(capsys, tmp_path, argv, code, stdout):
+    for name, obj in GOLDEN_FILES.items():
+        _write(tmp_path, name, obj)
+    argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
+    assert _run(capsys, argv) == (code, stdout)
+
+
+def test_canonical_non_finite():
+    assert cli.dumps_canonical([math.nan, -math.inf]) == '["nan", "-inf"]'
+
+
+def test_norm_nan_weight_exits_2(capsys, tmp_path):
+    tree = _write(tmp_path, "t.json", {"kind": "family", "family": "z_plus", "depth": 3})
+    w = tmp_path / "w.json"
+    w.write_text('{"base": {"1": NaN, "2": 0.5, "3": 0.5}}')  # Python's json reads NaN
+    code, out = _run(capsys, ["norm", tree, str(w)])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InputError" and "'1'" in err["message"]
+
+
+def test_oracle_compare_unbounded_tail(capsys, tmp_path):
+    tree = _write(tmp_path, "t.json", {"kind": "family", "family": "t_eta_kappa", "eta": 2, "depth": 5})
+    weights = _write(tmp_path, "w.json", {"tails": [
+        {"branch": 1, "head": [1.0], "tail": {"kind": "affine", "breaks": [2, 4, 7, 11]}},
+        {"branch": 2, "head": [0.5], "tail": {"kind": "constant", "value": 1.0}},
+    ]})
+    code, out = _run(capsys, ["oracle-compare", tree, weights, "--depth", "5"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["shift_norm"] == "inf" and rep["rel_diff"] == "nan"
+
+
+def test_norm_factorial_overflow_exits_2(capsys, tmp_path):
+    tree = _write(tmp_path, "t.json", {"kind": "family", "family": "t_eta_kappa", "eta": 2, "depth": 190})
+    weights = _write(tmp_path, "w.json", {"tails": [
+        {"branch": 1, "head": [1.0], "tail": {"kind": "factorial", "scale": 0.5}},
+        {"branch": 2, "head": [0.5], "tail": {"kind": "constant", "value": 1.0}},
+    ]})
+    code, out = _run(capsys, ["norm", tree, weights, "--depth", "190"])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "OverflowError"
