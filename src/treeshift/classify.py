@@ -24,16 +24,9 @@ from .measure import (
     SequenceVerdict,
     moment,
 )
+from .models import model_tail
 from .shift import (
-    AffineTail,
-    BinaryWeights,
-    CaRatioTail,
-    ConstantTail,
-    FactorialTail,
-    GeometricTail,
     IncompleteTruncationError,
-    MomentRatioTail,
-    TrunkMomentRatioTail,
     WeightSystem,
     apply,
     local_data,
@@ -135,68 +128,46 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _rules_list(w: WeightSystem):
+TAIL_WALK = 10_000  # how far past its start a tail is searched for its first drop
+
+
+def _pinned(w: WeightSystem, m: Materialized, fact, finite: bool = False) -> bool:
+    """Is a verdict read off the prefix exact?  With rules: when every head lies
+    inside the complete region and ``fact(rule, direction)`` holds on every
+    tail.  Without: when ``finite`` is set and the prefix is a whole tree."""
     if w.rules is None:
-        return None
-    if isinstance(w.rules, BinaryWeights):
-        return None  # handled per-predicate
-    return w.rules.rules()
+        return finite and m.complete == frozenset(m.tree.vertices) and not m.boundary_root
+    rules = w.rules.directed_rules()
+    horizon = max((r.tail_start() for r, _ in rules), default=0)
+    return m.depth >= horizon + 1 and all(r.tail is None or fact(r, d) for r, d in rules)
 
 
-def _tail_ranges(w: WeightSystem):
-    """[(inf, sup, exact)] of |weight| over each rule's tail region."""
-    rules = _rules_list(w)
-    if rules is None:
-        return None
-    out = []
-    for r in rules:
-        if r.tail is None:
-            continue
-        lo, ok_lo = r.tail.inf(r.tail_start())
-        hi, ok_hi = r.tail.sup(r.tail_start())
-        out.append((lo, hi, ok_lo and ok_hi))
-    return out
+def _constant_modulus(rule) -> Optional[float]:
+    """The one value of |lambda| along the rule's tail, or None if it may vary."""
+    lo, ok_lo = rule.tail.inf(rule.tail_start())
+    hi, ok_hi = rule.tail.sup(rule.tail_start())
+    return hi if ok_lo and ok_hi and lo == hi else None
 
 
-def _heads_covered(w: WeightSystem, m: Materialized) -> bool:
-    """True when every explicit head value sits inside the complete region."""
-    rules = _rules_list(w)
-    if rules is None:
-        return False
-    horizon = max((r.start + len(r.head) for r in rules), default=0)
-    return m.depth >= horizon + 1
+def _least_step(rule, direction: int) -> tuple:
+    """(lo, exact): the least ratio of consecutive tail moduli read along the
+    shift.  A rule indexed against the shift (direction -1) reads its ratio
+    bounds inverted, so there 1/hi is the least step."""
+    lo, hi, exact = rule.tail.ratio_bounds(rule.tail_start())
+    return (lo if direction > 0 else (1.0 / hi if hi else math.inf)), exact
 
 
-def _binary_constant(w: WeightSystem, m: Materialized) -> bool:
-    """Binary rules whose environments repeat verbatim beyond the truncation."""
-    if not isinstance(w.rules, BinaryWeights):
-        return False
-    spine = w.rules.spine
-    return (
-        isinstance(spine.tail, ConstantTail)
-        and m.depth >= spine.start + len(spine.head) + 1
-    )
-
-
-def _tail_hypo_status(tail) -> str:
-    """Do the tail weights keep increasing along the chain? ok/fails/unknown."""
-    if tail is None or isinstance(tail, (ConstantTail, MomentRatioTail, FactorialTail, TrunkMomentRatioTail)):
-        return "ok"
-    if isinstance(tail, GeometricTail):
-        return "ok" if tail.ratio >= 1.0 else "fails"
-    if isinstance(tail, CaRatioTail):
-        return "ok" if not tail.tau.atoms else "fails"
-    if isinstance(tail, AffineTail):
-        return "fails"  # the weight drops back to 1 at every break
-    return "unknown"
-
-
-def _checkable(m: Materialized):
-    """Vertices whose own and children's norms are known exactly."""
-    for u in m.tree.vertices:  # canonical order
-        kids = m.tree.children[u]
-        if u in m.complete and all(v in m.complete for v in kids):
-            yield u, kids
+def _first_drop(rule, direction: int) -> Optional[int]:
+    """The first j past the tail start where |lambda| falls from j - 1 read
+    along the shift (rises in j, against it); None within TAIL_WALK steps."""
+    j0 = rule.tail_start()
+    prev = abs(rule.value(j0))
+    for j in range(j0 + 1, j0 + 1 + TAIL_WALK):
+        cur = abs(rule.value(j))
+        if (cur < prev) if direction > 0 else (cur > prev):
+            return j
+        prev = cur
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +183,8 @@ def is_isometry(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Verdi
         s = sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
         if not _eq(s, 1.0, tol):
             return Verdict("no", True, witness={"vertex": u, "norm_squared": s})
-    ranges = _tail_ranges(w)
-    exact = (
-        ranges is not None
-        and all(ok and lo == 1.0 and hi == 1.0 for lo, hi, ok in ranges)
-        and _heads_covered(w, m)
-    )
-    if ranges is None and not isinstance(w.rules, BinaryWeights):
-        exact = m.complete == frozenset(m.tree.vertices) and not m.boundary_root
+    # a chain vertex's norm is its child's weight; branching rules prove nothing
+    exact = _pinned(w, m, lambda r, d: d != 0 and _constant_modulus(r) == 1.0, finite=True)
     return Verdict("yes", exact, depth=m.depth or None)
 
 
@@ -228,7 +193,7 @@ def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Ve
     loc = local_data(w, m)
     ar = m.arrays
     ep, kids = loc.edge_parent, ar.child_idx
-    on = loc.checkable[ep] & (loc.mod[kids] != 0.0)  # edges in canonical order
+    on = ar.checkable[ep] & (loc.mod[kids] != 0.0)  # edges in canonical order
     bad = on & ~_eq_all(loc.norms2[ep], loc.norms2[kids], tol)
     if bad.any():
         k = int(np.argmax(bad))
@@ -243,12 +208,7 @@ def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Ve
             },
         )
     common = float(loc.norms2[ep[np.flatnonzero(on)[-1]]]) if on.any() else None
-    ranges = _tail_ranges(w)
-    exact = (
-        ranges is not None
-        and all(ok and lo == hi for lo, hi, ok in ranges)
-        and _heads_covered(w, m)
-    ) or _binary_constant(w, m)
+    exact = _pinned(w, m, lambda r, d: _constant_modulus(r) is not None)
     detail = {}
     below = ar.complete[ep]
     # weights below an incomplete vertex are not in the local data
@@ -267,8 +227,9 @@ def _zero_everywhere(w: WeightSystem, m: Materialized) -> bool:
         for v in m.tree.vertices
         if m.tree.parent.get(v) is not None
     )
-    ranges = _tail_ranges(w)
-    tails = ranges is None or all(hi == 0.0 for _, hi, _ in ranges)
+    tails = w.rules is None or all(
+        r.tail is None or r.tail.sup(r.tail_start())[0] == 0.0 for r, _ in w.rules.directed_rules()
+    )
     return mats and tails
 
 
@@ -349,12 +310,7 @@ def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: f
         if abs(w.weight(v)) != 0.0:
             return Verdict("no", True, witness={"vertex": v, "reason": "nonzero weight off the chain"})
 
-    ranges = _tail_ranges(w)
-    exact = (
-        ranges is not None
-        and all(ok and lo == hi for lo, hi, ok in ranges)
-        and _heads_covered(w, m)
-    )
+    exact = _pinned(w, m, lambda r, d: _constant_modulus(r) is not None)
     return Verdict(
         "yes", exact, depth=m.depth or None,
         detail={"chain": chain, "terminal": terminal},
@@ -387,7 +343,7 @@ def _hyponormal_core(w, m, p, tol) -> Verdict:
     loc = local_data(w, m)
     ar = m.arrays
     ep, kids = loc.edge_parent, ar.child_idx
-    on = loc.checkable[ep]  # edges below checkable vertices, in canonical order
+    on = ar.checkable[ep]  # edges below checkable vertices, in canonical order
     n2 = loc.norms2[kids]
     lam2 = loc.mod2[kids]
     dead = on & (n2 == 0.0)
@@ -403,7 +359,7 @@ def _hyponormal_core(w, m, p, tol) -> Verdict:
     # bincount adds each vertex's terms in its children's order
     total = np.bincount(ep, weights=terms, minlength=len(loc.norms2))
     fed_at = np.bincount(ep, weights=fed, minlength=len(total)) > 0
-    checked = loc.checkable & ~fed_at
+    checked = ar.checkable & ~fed_at
     if p != 1.0:
         checked &= loc.norms2 != 0.0
         total[checked] *= _pow_all(loc.norms2[checked], p - 1.0)
@@ -419,24 +375,18 @@ def _hyponormal_core(w, m, p, tol) -> Verdict:
             )
         return Verdict("no", True, witness={"vertex": m.tree.vertices[u], "lhs": float(total[u])})
 
-    statuses = []
-    rules = _rules_list(w)
-    if rules is not None:
-        statuses = [_tail_hypo_status(r.tail) for r in rules if r.tail is not None]
-        for r, st in zip([r for r in rules if r.tail is not None], statuses):
-            if st == "fails":
-                j = r.tail_start() + 1
-                return Verdict(
-                    "no", True,
-                    witness={"tail_index": j, "reason": "weights decrease along a tail"},
-                )
-    exact = (
-        rules is not None
-        and all(st == "ok" for st in statuses)
-        and _heads_covered(w, m)
-    )
-    if rules is None and not isinstance(w.rules, BinaryWeights):
-        exact = m.complete == frozenset(m.tree.vertices) and not m.boundary_root
+    # on a chain, hyponormality is |lambda| nondecreasing along the shift
+    for r, d in () if w.rules is None else w.rules.directed_rules():
+        if d == 0 or r.tail is None:
+            continue
+        lo, exact = _least_step(r, d)
+        j = _first_drop(r, d) if exact and lo < 1.0 else None
+        if j is not None:
+            return Verdict(
+                "no", True,
+                witness={"tail_index": j, "reason": "weights decrease along a tail"},
+            )
+    exact = _pinned(w, m, lambda r, d: d != 0 and _least_step(r, d)[0] >= 1.0, finite=True)
     return Verdict("yes", exact, depth=m.depth or None)
 
 
@@ -493,23 +443,23 @@ def _zgod0_check(w, fam, measures, chex: bool, orders: int, tol: float):
 
 
 def _zgod0_exact(w, measures, chex: bool) -> bool:
-    rules = w.rules
-    if rules is None or not hasattr(rules, "branches"):
+    """Is every branch tail the model's own, or of constant modulus where the
+    model sequence is geometric?"""
+    if w.rules is None:
         return False
-    for rule, mu in zip(rules.branches, measures):
-        t = rule.tail
-        if chex:
-            if isinstance(t, CaRatioTail) and t.tau.atoms == mu.atoms:
-                continue
-        else:
-            if isinstance(t, MomentRatioTail) and t.measure.atoms == mu.atoms:
-                continue
-        if isinstance(t, ConstantTail):
-            if chex and not mu.atoms and t.value_ == 1.0:
-                continue
-            if not chex and len(mu.atoms) == 1 and _eq(t.value_ ** 2, mu.atoms[0][0]):
-                continue
+    branches = [r for r, d in w.rules.directed_rules() if d > 0]
+    if len(branches) != len(measures):
         return False
+    for rule, mu in zip(branches, measures):
+        if rule.tail is None:
+            return False
+        if rule.tail == model_tail(mu, chex):
+            continue
+        c = _constant_modulus(rule)
+        if c is None or not (
+            (not mu.atoms and c == 1.0) if chex else (len(mu.atoms) == 1 and _eq(c ** 2, mu.atoms[0][0]))
+        ):
+            return False
     return True
 
 
@@ -695,11 +645,7 @@ def paranormal_sample(
     tol: float = REL_TOL,
 ) -> Verdict:
     """Sampling wrapper: random finite vectors on doubly-complete vertices."""
-    safe = [
-        u
-        for u, kids in _checkable(m)
-        if all(k in m.complete for k in kids)
-    ]
+    safe = [m.tree.vertices[u] for u in np.flatnonzero(m.arrays.checkable).tolist()]
     if not safe:
         raise IncompleteTruncationError(m.tree.root, "no vertex supports S^2")
     rng = random.Random(seed)

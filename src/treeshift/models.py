@@ -30,6 +30,7 @@ __all__ = [
     "TConditionsViolatedError",
     "ImpossibleError",
     "ModelResult",
+    "model_tail",
     "construct_subnormal",
     "exists_lambda1",
     "construct_chex",
@@ -88,6 +89,11 @@ class ModelResult:
         }
 
 
+def model_tail(mu: AtomicMeasure, chex: bool = False):
+    """The tail a model branch carries: moment ratios of ``mu``, or alternating-sequence ratios."""
+    return CaRatioTail(mu) if chex else MomentRatioTail(mu)
+
+
 def _neg_sum(lambda1: Sequence[float], measures: Sequence[AtomicMeasure], order: int) -> float:
     return sum(c * c * moment(mu, -order) for c, mu in zip(lambda1, measures))
 
@@ -143,7 +149,7 @@ def construct_subnormal(
             raise ConditionViolated("strong consistency needs sum = 1", t1)
 
     branches = tuple(
-        BranchRule(head=(lam,), tail=MomentRatioTail(mu), start=1)
+        BranchRule(head=(lam,), tail=model_tail(mu), start=1)
         for lam, mu in zip(lambda1, measures)
     )
 
@@ -264,7 +270,7 @@ def construct_chex(
     branches = tuple(
         BranchRule(
             head=(ti, math.sqrt(1.0 + tau.total_mass())),
-            tail=CaRatioTail(tau),
+            tail=model_tail(tau, chex=True),
             start=1,
         )
         for ti, tau in zip(t, taus)

@@ -63,13 +63,6 @@ class Truncation:
     def pos(self, v: str) -> int:
         return self.index[v]
 
-    def matrix_json(self) -> dict:
-        """Dense dump for debugging: ordering plus [re, im] entry rows."""
-        return {
-            "order": list(self.order),
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-        }
-
 
 @dataclass(frozen=True)
 class OracleVerdict:

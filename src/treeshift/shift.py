@@ -101,8 +101,10 @@ def _pivot_ratio(terms, hi: int, lo: int, pivot: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Tail rules: closed-form weight generators for the un-materialized part.
-# Each rule reports its sup/inf over indices >= some start, with an exactness
-# flag, so norms and Fredholm data can be promoted from at-depth to exact.
+# Each tail declares its facts about the moduli |value(i)|, i >= start, once:
+# ``sup`` and ``inf`` as (bound, exact) and ``ratio_bounds`` as (lo, hi, exact)
+# with lo <= |value(i+1)| / |value(i)| <= hi (0/0 reads as 1); exact bounds
+# are the sup and inf themselves.  Every verdict beyond a prefix reads these.
 # ---------------------------------------------------------------------------
 
 
@@ -117,10 +119,13 @@ class ConstantTail:
         return self.value_
 
     def sup(self, start: int):
-        return self.value_, True
+        return abs(self.value_), True
 
     def inf(self, start: int):
-        return self.value_, True
+        return abs(self.value_), True
+
+    def ratio_bounds(self, start: int):
+        return 1.0, 1.0, True
 
     def to_json(self):
         return {"kind": "constant", "value": self.value_}
@@ -141,14 +146,20 @@ class GeometricTail:
         return self.scale * self.ratio ** idx
 
     def sup(self, start: int):
-        if self.ratio <= 1.0:
-            return self.value(start), True
+        if abs(self.ratio) <= 1.0 or self.scale == 0.0:
+            return abs(self.value(start)), True
         return math.inf, True
 
     def inf(self, start: int):
-        if self.ratio >= 1.0:
-            return self.value(start), True
+        if abs(self.ratio) >= 1.0:
+            return abs(self.value(start)), True
         return 0.0, True
+
+    def ratio_bounds(self, start: int):
+        r = abs(self.ratio)
+        if r == 0.0 or self.scale == 0.0:  # zeros, after the scale at index 0
+            return 0.0, 1.0, False
+        return r, r, True
 
     def to_json(self):
         return {"kind": "power", "scale": self.scale, "ratio": self.ratio}
@@ -167,10 +178,15 @@ class FactorialTail:
         return self.scale * math.factorial(idx)
 
     def sup(self, start: int):
-        return math.inf, True
+        return (math.inf if self.scale else 0.0), True
 
     def inf(self, start: int):
-        return self.value(start), True
+        return abs(self.value(start)), True
+
+    def ratio_bounds(self, start: int):
+        if self.scale == 0.0:
+            return 1.0, 1.0, True
+        return float(start + 1), math.inf, True
 
     def to_json(self):
         return {"kind": "factorial", "scale": self.scale}
@@ -180,7 +196,9 @@ class FactorialTail:
 class AffineTail:
     """value(i) = i + 1 - k_n on [k_n, k_{n+1}); the break gaps must grow.
 
-    Models saw-tooth weight schedules; declared unbounded, so the sup is inf.
+    Models saw-tooth weight schedules with gaps that grow without end: the
+    sup is declared inf, and the step ratios, which climb to 2 after each
+    break and fall to 1/gap at the next, are declared to reach down to 0.
     """
 
     breaks: tuple
@@ -197,6 +215,9 @@ class AffineTail:
     def inf(self, start: int):
         return 1.0, True
 
+    def ratio_bounds(self, start: int):
+        return 0.0, 2.0, True
+
     def to_json(self):
         return {"kind": "affine", "breaks": list(self.breaks)}
 
@@ -205,9 +226,10 @@ class AffineTail:
 class MomentRatioTail:
     """value(j)**2 = m_{j-1}/m_{j-2} for the moments of a fixed measure.
 
-    The ratios increase to the top of the support, so the sup is exact.
-    Deep indices, where the moments under- or overflow, are evaluated
-    relative to the top of the support.
+    The ratios increase to the top of the support (the moments are
+    log-convex), so the sup is exact and no step ratio is below 1.  Deep
+    indices, where the moments under- or overflow, are evaluated relative to
+    the top of the support.
     """
 
     measure: AtomicMeasure
@@ -222,6 +244,9 @@ class MomentRatioTail:
     def inf(self, start: int):
         return self.value(start), True
 
+    def ratio_bounds(self, start: int):
+        return 1.0, math.inf, False
+
     def to_json(self):
         return {"kind": "moment_ratio", "atoms": [[p, m] for p, m in self.measure.atoms]}
 
@@ -230,7 +255,8 @@ class MomentRatioTail:
 class CaRatioTail:
     """value(j)**2 = a_{j-1}/a_{j-2} with a_n = 1 + integral of (1+...+s^(n-1)).
 
-    The ratios decrease to 1, so both extremes are exact.
+    The ratios decrease to 1, so both extremes are exact; the step ratios
+    increase to 1, so the first one is the least.
     """
 
     tau: AtomicMeasure
@@ -247,6 +273,9 @@ class CaRatioTail:
     def inf(self, start: int):
         return 1.0, True
 
+    def ratio_bounds(self, start: int):
+        return self.value(start + 1) / self.value(start), 1.0, True
+
     def to_json(self):
         return {"kind": "ca_ratio", "atoms": [[p, m] for p, m in self.tau.atoms]}
 
@@ -256,9 +285,9 @@ class TrunkMomentRatioTail:
     """Trunk weights of the subnormal model on the rootless broom.
 
     value(k)**2 = (sum_i c_i^2 m_i(-(k+1))) / (sum_i c_i^2 m_i(-(k+2))),
-    a nonincreasing sequence, so the sup is its first value.  Deep indices,
-    where the negative moments overflow, are evaluated relative to the
-    smallest point.
+    a nonincreasing sequence, so the sup is its first value and no step
+    ratio exceeds 1.  Deep indices, where the negative moments overflow, are
+    evaluated relative to the smallest point.
     """
 
     lambda1: tuple
@@ -279,6 +308,9 @@ class TrunkMomentRatioTail:
     def inf(self, start: int):
         return 0.0, False  # limit exists but is measure-dependent; report lower bound
 
+    def ratio_bounds(self, start: int):
+        return 0.0, 1.0, False
+
     def to_json(self):
         return {
             "kind": "trunk_moment_ratio",
@@ -289,12 +321,14 @@ class TrunkMomentRatioTail:
 
 @dataclass(frozen=True)
 class SequenceTail:
-    """Arbitrary callable tail with declared sup/inf (tests and one-offs)."""
+    """Arbitrary callable tail with declared facts (tests and one-offs);
+    without ``declared_ratio`` the step ratios are unknown."""
 
     fn: object
     declared_sup: float = math.inf
     declared_inf: float = 0.0
     exact: bool = False
+    declared_ratio: Optional[tuple] = None
 
     def value(self, idx: int) -> float:
         return self.fn(idx)
@@ -304,6 +338,11 @@ class SequenceTail:
 
     def inf(self, start: int):
         return self.declared_inf, self.exact
+
+    def ratio_bounds(self, start: int):
+        if self.declared_ratio is None:
+            return 0.0, math.inf, False
+        return (*self.declared_ratio, self.exact)
 
     def to_json(self):
         raise TypeError("sequence tails are not serializable")
@@ -369,15 +408,12 @@ class BranchRule:
         return max(vals), exact
 
     def inf_abs_nonzero(self):
-        """Infimum of nonzero |values|; (None, True) when all values are zero."""
+        """Infimum of the nonzero head moduli and the tail's; (None, True) if none."""
         vals = [abs(v) for v in self.head if v != 0]
         if self.tail is None:
             return (min(vals) if vals else None), True
         ti, exact = self.tail.inf(self.tail_start())
-        if ti == 0.0 and isinstance(self.tail, ConstantTail):
-            return (min(vals) if vals else None), exact
-        vals.append(ti)
-        return min(vals), exact
+        return min(vals + [ti]), exact
 
     def to_json(self):
         out = {"head": [_num_to_json(v) for v in self.head], "start": self.start}
@@ -400,12 +436,28 @@ def _num_from_json(x) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Family weight rules: map a vertex id to (rule, index).
+# Family weight rules: map a vertex id to (rule, index) and answer the
+# family-level questions.  ``directed_rules`` pairs each rule with the way its
+# index runs: 1 along the shift, -1 against it, 0 where its vertices branch.
+# ``norm2_sup`` is (sup of ||S e_u||^2 over the vertices the rules cover, exact).
 # ---------------------------------------------------------------------------
 
 
+class _ChainRules:
+    """Families whose rule vertices each have one child."""
+
+    every_vertex_branches = False
+
+    def norm2_sup(self) -> tuple:
+        best, exact = 0.0, True
+        for rule, _ in self.directed_rules():
+            s, ok = rule.sup_abs()
+            best, exact = max(best, s ** 2), exact and ok
+        return best, exact
+
+
 @dataclass(frozen=True)
-class BroomWeights:
+class BroomWeights(_ChainRules):
     """Rules on the broom: trunk positions -k carry lambda_{-k} (k=0..kappa-1
     for a finite trunk, all k when the trunk is infinite); branch i carries
     lambda_{i,j} for j >= 1."""
@@ -431,11 +483,13 @@ class BroomWeights:
             raise UnknownWeightError(v)
         return self.trunk, k
 
-    def rules(self):
-        out = list(self.branches)
-        if self.trunk is not None:
-            out.append(self.trunk)
-        return out
+    def directed_rules(self) -> tuple:
+        out = tuple((b, 1) for b in self.branches)
+        t = self.trunk
+        if t is not None and t.tail is not None and self.kappa != math.inf:
+            # a finite trunk has kappa positions: a tail past them is read as head values
+            t = BranchRule(tuple(t.value(k) for k in range(t.start, int(self.kappa))), None, t.start)
+        return out if t is None else out + ((t, -1),)
 
     def to_json(self):
         out = {
@@ -447,7 +501,7 @@ class BroomWeights:
 
 
 @dataclass(frozen=True)
-class ChainWeights:
+class ChainWeights(_ChainRules):
     """Rules on a line: ``pos`` covers vertices n >= 1 (weight index n),
     ``neg`` covers n <= 0 (index k of lambda_{-k})."""
 
@@ -467,8 +521,8 @@ class ChainWeights:
             raise UnknownWeightError(v)
         return self.neg, -n
 
-    def rules(self):
-        return [r for r in (self.pos, self.neg) if r is not None]
+    def directed_rules(self) -> tuple:
+        return tuple((r, d) for r, d in ((self.pos, 1), (self.neg, -1)) if r is not None)
 
     def to_json(self):
         out = {}
@@ -490,6 +544,8 @@ class BinaryWeights:
     spine: BranchRule
     off_spine: float = 1.0
 
+    every_vertex_branches = True
+
     def __post_init__(self):
         _finite(self.off_spine, "off_spine")
 
@@ -502,8 +558,29 @@ class BinaryWeights:
             return self.spine, i
         return BranchRule(head=(), tail=ConstantTail(self.off_spine), start=0), i
 
-    def rules(self):
-        return [self.spine, BranchRule(head=(), tail=ConstantTail(self.off_spine), start=0)]
+    def directed_rules(self) -> tuple:
+        return (self.spine, 0), (BranchRule(head=(), tail=ConstantTail(self.off_spine), start=0), 0)
+
+    def norm2_sup(self) -> tuple:
+        s, ok = self.spine.sup_abs()
+        off = self.off_spine
+        return max(s ** 2 + off ** 2, 2 * off ** 2), ok
+
+    def level_envs(self, depth: int):
+        """Per-level local data (child moduli and child norms squared).
+
+        The generic off-spine environment comes first; the spine environments
+        follow in level order so the tail of the series shows the growth.
+        """
+        mu = lambda i: abs(self.spine.value(i))
+        off = abs(self.off_spine)
+        white_n2 = 2.0 * off ** 2
+        mods, norms2 = [[off, off]], [[white_n2, white_n2]]
+        # the root behaves like spine level 0; then spine vertices (i,1)
+        for i in range(0, depth + 1):
+            mods.append([mu(i + 1), off])
+            norms2.append([mu(i + 2) ** 2 + off ** 2, white_n2])
+        return mods, norms2
 
     def to_json(self):
         return {"mu": self.spine.to_json(), "off_spine": self.off_spine}
@@ -645,15 +722,13 @@ class LocalData:
 
     Only the weights of children of complete vertices are resolved; ``mod``
     and ``mod2`` are NaN elsewhere and ``norms2`` is 0 on incomplete vertices.
-    ``edge_parent`` is the parent of each entry of ``child_idx``;
-    ``checkable`` marks complete vertices whose children are all complete.
+    ``edge_parent`` is the parent of each entry of ``child_idx``.
     """
 
     mod: np.ndarray
     mod2: np.ndarray
     norms2: np.ndarray
     edge_parent: np.ndarray
-    checkable: np.ndarray
 
 
 def local_data(w: WeightSystem, m: Materialized) -> LocalData:
@@ -676,9 +751,7 @@ def local_data(w: WeightSystem, m: Materialized) -> LocalData:
     mod2[kids] = sq
     # bincount adds in storage order: per parent, children in canonical order
     norms2 = np.bincount(ep[below], weights=sq, minlength=n)
-    checkable = ar.complete.copy()
-    checkable[ep[~ar.complete[ar.child_idx]]] = False
-    return LocalData(mod, mod2, norms2, ep, checkable)
+    return LocalData(mod, mod2, norms2, ep)
 
 
 def shift_norms_squared(w: WeightSystem, m: Materialized) -> dict:
@@ -699,7 +772,10 @@ class NormResult:
 
 def norm(w: WeightSystem, m: Materialized) -> NormResult:
     """sup_u ||S e_u||; exact when tails admit provable sups, else a lower
-    bound at the materialization depth."""
+    bound at the materialization depth.  When the rules alone make the norm
+    exactly infinite, no weight is resolved."""
+    if w.rules is not None and w.rules.norm2_sup() == (math.inf, True):
+        return NormResult(value=math.inf, exact=True)
     return _norm(w, m, local_data(w, m))
 
 
@@ -707,17 +783,8 @@ def _norm(w: WeightSystem, m: Materialized, loc: LocalData) -> NormResult:
     best = float(loc.norms2.max(initial=0.0))
     exact = not m.boundary_root and bool(m.arrays.complete.all())
     if w.rules is not None:
-        exact = True
-        if isinstance(w.rules, BinaryWeights):
-            s, ok = w.rules.spine.sup_abs()
-            off = w.rules.off_spine
-            best = max(best, s ** 2 + off ** 2, 2 * off ** 2)
-            exact = ok
-        else:
-            for rule in w.rules.rules():
-                s, ok = rule.sup_abs()
-                best = max(best, s ** 2)
-                exact = exact and ok
+        s, exact = w.rules.norm2_sup()
+        best = max(best, s)
     return NormResult(value=math.sqrt(best), exact=exact)
 
 
@@ -783,7 +850,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     fully_finite = (not m.boundary_root) and bool(ar.complete.all())
     exact = fully_finite or have_rules
 
-    if have_rules and isinstance(w.rules, BinaryWeights):
+    if have_rules and w.rules.every_vertex_branches:
         return FredholmData(
             a=0.0, b=math.inf, c=math.inf, is_fredholm=False, index=None,
             exact=True, reason="every vertex branches",
@@ -792,16 +859,16 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     tail_infs = []
     tails_cover = True
     if have_rules:
-        for rule in w.rules.rules():
-            iv, ok = rule.inf_abs_nonzero()
-            if iv is not None:
-                tail_infs.append(iv)
-            tails_cover = tails_cover and ok
-            if rule.tail is not None and isinstance(rule.tail, ConstantTail) and rule.tail.value_ == 0.0:
+        for rule, _ in w.rules.directed_rules():
+            if rule.tail is not None and rule.tail.sup(rule.tail_start()) == (0.0, True):
                 return FredholmData(
                     a=math.inf, b=math.inf, c=0.0, is_fredholm=False, index=None,
                     exact=True, reason="a whole tail of weights vanishes",
                 )
+            iv, ok = rule.inf_abs_nonzero()
+            if iv is not None:
+                tail_infs.append(iv)
+            tails_cover = tails_cover and ok
         exact = exact and tails_cover
     if not exact:
         raise IndeterminateError(
@@ -913,24 +980,6 @@ def _tu_quantities(mods: np.ndarray, child_norms2: np.ndarray):
     return t_norm, hs, tr, np.max(d2, axis=1)
 
 
-def _binary_envs(w: WeightSystem, depth: int):
-    """Per-level local data (child moduli and child norms) on the binary family.
-
-    The generic off-spine environment comes first; the spine environments
-    follow in level order so the tail of the series shows the growth.
-    """
-    spine, off = w.rules.spine, w.rules.off_spine
-    mu = lambda i: abs(spine.value(i))
-    white_n2 = 2.0 * off ** 2
-    grey_n2 = lambda i: mu(i + 1) ** 2 + off ** 2  # norm at spine vertex (i,1)
-    mods, norms2 = [[off, off]], [[white_n2, white_n2]]
-    # the root behaves like spine level 0; then spine vertices (i,1)
-    for i in range(0, depth + 1):
-        mods.append([mu(i + 1), off])
-        norms2.append([grey_n2(i + 1), white_n2])
-    return mods, norms2
-
-
 def _rising(vals: np.ndarray, level: np.ndarray, names) -> bool:
     """Is the running sup of vals, scanned by (level, name), still strictly
     growing at the last two entries?
@@ -955,18 +1004,19 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
     fwd: sup_u of sum over children v of |lambda_v|^2/(1 + ||S e_v||^2);
     bwd: sup_u of the norm of the diagonal-minus-rank-one operator, reported
     together with its Hilbert-Schmidt and trace relaxations and the raw
-    diagonal sup.  On the binary family with a named spine sequence the
-    boundedness verdicts are exact; otherwise they are at-depth unless the
-    operator itself is provably bounded.  The local data is scanned by level,
-    then vertex name; only the growth flags depend on that order.
+    diagonal sup.  Both hold when the operator is provably bounded; else, on
+    the binary family, fwd fails iff the spine tail's step ratios reach down
+    to 0 and bwd iff they are unbounded; elsewhere the verdicts are at-depth.
+    The local data is scanned by level, then vertex name; only the growth
+    flags depend on that order.
     """
     if depth is None:
         depth = m.depth or 8
 
     loc = local_data(w, m)
-    binary = w.rules is not None and isinstance(w.rules, BinaryWeights)
+    binary = w.rules is not None and w.rules.every_vertex_branches
     if binary:
-        mods, norms2 = _binary_envs(w, depth)
+        mods, norms2 = w.rules.level_envs(depth)
         fwd_vals = np.array([sum(l ** 2 / (1.0 + n2) for l, n2 in zip(ls, ns)) for ls, ns in zip(mods, norms2)])
         t_vals, hs_vals, tr_vals, diag_vals = _tu_quantities(np.array(mods), np.array(norms2))
         level, names = np.arange(len(mods)), [""] * len(mods)
@@ -974,7 +1024,7 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
         ar = m.arrays
         ep, kids = loc.edge_parent, ar.child_idx
         deg = np.diff(ar.child_ptr)
-        envs = np.flatnonzero(loc.checkable & (deg > 0))
+        envs = np.flatnonzero(ar.checkable & (deg > 0))
         # sums over children in storage order, as the one-vertex sum takes them
         fwd_all = np.bincount(ep, weights=loc.mod2[kids] / (1.0 + loc.norms2[kids]), minlength=len(deg))
         fwd_vals = fwd_all[envs]
@@ -1004,22 +1054,15 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
 
     nr = _norm(w, m, loc)
     if nr.exact and math.isfinite(nr.value):
-        fwd = DirectionReport(fwd_sup, "holds", True, mono(fwd_vals))
-        bwd = DirectionReport(bwd_sup, "holds", True, mono(t_vals), extras)
+        fwd_v = bwd_v = "holds"
     elif binary:
-        tail = w.rules.spine.tail
-        if isinstance(tail, FactorialTail):
-            fwd_v, bwd_v = "holds", "fails"
-        elif isinstance(tail, GeometricTail):
-            fwd_v, bwd_v = "holds", "holds"
-        elif isinstance(tail, AffineTail):
-            fwd_v, bwd_v = "fails", "holds"
-        else:
-            fwd_v = bwd_v = "at-depth"
-        exact = fwd_v != "at-depth"
-        fwd = DirectionReport(fwd_sup, fwd_v, exact, mono(fwd_vals))
-        bwd = DirectionReport(bwd_sup, bwd_v, exact, mono(t_vals), extras)
+        spine = w.rules.spine
+        lo, hi, ok = spine.tail.ratio_bounds(spine.tail_start())
+        fwd_v = ("fails" if lo == 0.0 else "holds") if ok else "at-depth"
+        bwd_v = ("fails" if hi == math.inf else "holds") if ok else "at-depth"
     else:
-        fwd = DirectionReport(fwd_sup, "at-depth", False, mono(fwd_vals))
-        bwd = DirectionReport(bwd_sup, "at-depth", False, mono(t_vals), extras)
+        fwd_v = bwd_v = "at-depth"
+    exact = fwd_v != "at-depth"
+    fwd = DirectionReport(fwd_sup, fwd_v, exact, mono(fwd_vals))
+    bwd = DirectionReport(bwd_sup, bwd_v, exact, mono(t_vals), extras)
     return DomainInclusionReport(fwd=fwd, bwd=bwd, depth=depth)

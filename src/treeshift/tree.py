@@ -304,6 +304,7 @@ class TreeArrays:
     child_idx: np.ndarray
     complete: np.ndarray  # bool mask
     level: np.ndarray  # distance from the materialized root
+    checkable: np.ndarray  # complete, and every child complete: ||S e_v|| known below
 
 
 @dataclass(frozen=True)
@@ -361,6 +362,8 @@ class Materialized:
         parent = np.full(n, -1, np.int64)
         parent[child_idx] = np.repeat(np.arange(n), deg)
         complete = np.fromiter((v in self.complete for v in t.vertices), bool, n)
+        checkable = complete.copy()
+        checkable[parent[child_idx[~complete[child_idx]]]] = False
         # pointer doubling: after k rounds every vertex knows its distance to
         # the ancestor 2**k levels up, or to the root
         up, live = parent, parent >= 0
@@ -369,7 +372,7 @@ class Materialized:
             level = level + np.where(live, level[up], 0)
             up = np.where(live, up[up], -1)
             live = up >= 0
-        return TreeArrays(parent, child_ptr, child_idx, complete, level)
+        return TreeArrays(parent, child_ptr, child_idx, complete, level, checkable)
 
 
 def as_complete(t: DirectedTree) -> Materialized:

@@ -141,6 +141,112 @@ def random_weights(rng: random.Random, t, lo=0.0, hi=3.0, zeros=0.0):
 TWO_ATOM = AtomicMeasure.from_pairs([(0.5, 0.5), (1.0, 0.5)])
 
 
+# -- the tail rules, stated per tail type ----------------------------------------
+# What each tail kind guarantees beyond a prefix, written out per type and per
+# direction, so that the reference does not lean on the library's tail facts.
+# ``forward`` is True where a rule's index runs along the shift (branches,
+# ``pos``), False where it runs against it (the trunk, ``neg``) and None where
+# the rule's vertices branch (the binary family).
+
+TAIL_WALK = 10_000
+
+
+def ref_rules(w):
+    """[(rule, forward)] of the family rules; None without rules."""
+    r = w.rules
+    if r is None:
+        return None
+    if isinstance(r, shift.BinaryWeights):
+        return [(r.spine, None), (BranchRule((), ConstantTail(r.off_spine), 0), None)]
+    if isinstance(r, shift.ChainWeights):
+        return [(x, fwd) for x, fwd in ((r.pos, True), (r.neg, False)) if x is not None]
+    trunk = r.trunk
+    if trunk is not None and trunk.tail is not None and r.kappa != math.inf:  # kappa positions
+        trunk = BranchRule(tuple(trunk.value(k) for k in range(trunk.start, int(r.kappa))), None, trunk.start)
+    return [(b, True) for b in r.branches] + ([(trunk, False)] if trunk is not None else [])
+
+
+def ref_moduli(tail, start):
+    """((inf, exact), (sup, exact)) of |value(i)| over i >= start."""
+    kind = type(tail)
+    if kind is shift.ConstantTail:
+        c = abs(tail.value_)
+        return (c, True), (c, True)
+    if kind is shift.GeometricTail:
+        a, r = abs(tail.value(start)), abs(tail.ratio)
+        return (a if r >= 1 else 0.0, True), (a if r <= 1 or tail.scale == 0 else math.inf, True)
+    if kind is shift.FactorialTail:
+        return (abs(tail.value(start)), True), (math.inf if tail.scale else 0.0, True)
+    if kind is shift.AffineTail:
+        return (1.0, True), (math.inf, True)
+    if kind is shift.MomentRatioTail:
+        return (tail.value(start), True), (math.sqrt(tail.measure.support_max()), True)
+    if kind is shift.CaRatioTail:
+        return (1.0, True), (tail.value(start), True)
+    if kind is shift.TrunkMomentRatioTail:
+        return (0.0, False), (tail.value(start), True)
+    assert kind is shift.SequenceTail
+    return (tail.declared_inf, tail.exact), (tail.declared_sup, tail.exact)
+
+
+def ref_hypo_status(tail, forward):
+    """Do the tail's moduli never decrease along the shift: ok, fails or unknown."""
+    kind = type(tail)
+    if kind is shift.ConstantTail:
+        return "ok"
+    if kind is shift.GeometricTail:
+        r = abs(tail.ratio)
+        if r == 0 or tail.scale == 0:
+            return "unknown"  # zeros after the scale: not declared exactly
+        return "ok" if r == 1 or (r > 1) == forward else "fails"
+    if kind is shift.FactorialTail:
+        return "ok" if forward or tail.scale == 0 else "fails"
+    if kind is shift.AffineTail:
+        return "fails"  # climbs within a run, drops back to 1 at each break
+    if kind is shift.MomentRatioTail:
+        return "ok" if forward else "unknown"  # increasing; how fast is not declared
+    if kind is shift.CaRatioTail:
+        return "ok" if not forward or not tail.tau.atoms else "fails"
+    if kind is shift.TrunkMomentRatioTail:
+        return "unknown" if forward else "ok"
+    if tail.declared_ratio is None:
+        return "unknown"
+    lo, hi = tail.declared_ratio
+    if (lo >= 1) if forward else (hi <= 1):
+        return "ok"
+    return "fails" if tail.exact else "unknown"
+
+
+def ref_first_drop(rule, forward):
+    j0 = rule.start + len(rule.head)
+    for j in range(j0 + 1, j0 + 1 + TAIL_WALK):
+        a, b = abs(rule.value(j - 1)), abs(rule.value(j))
+        if (b < a) if forward else (b > a):
+            return j
+    return None
+
+
+def ref_heads_covered(rules, m):
+    return m.depth >= max((r.start + len(r.head) for r, _ in rules), default=0) + 1
+
+
+def ref_constant(rule):
+    (lo, ok_lo), (hi, ok_hi) = ref_moduli(rule.tail, rule.start + len(rule.head))
+    return hi if ok_lo and ok_hi and lo == hi else None
+
+
+def ref_finite(m):
+    return m.complete == frozenset(m.tree.vertices) and not m.boundary_root
+
+
+def ref_sup_abs(rule):
+    vals = [abs(v) for v in rule.head]
+    if rule.tail is None:
+        return max(vals, default=0.0), True
+    s, ok = ref_moduli(rule.tail, rule.start + len(rule.head))[1]
+    return max(vals + [s]), ok
+
+
 # -- per-vertex reference implementations --------------------------------------
 # The closed forms as one Python loop per vertex, in canonical order, straight
 # from the definitions.  The library runs them on integer arrays; the property
@@ -158,13 +264,13 @@ def ref_norm(w, m):
     if w.rules is not None:
         exact = True
         if isinstance(w.rules, shift.BinaryWeights):
-            s, ok = w.rules.spine.sup_abs()
+            s, ok = ref_sup_abs(w.rules.spine)
             off = w.rules.off_spine
             best = max(best, s ** 2 + off ** 2, 2 * off ** 2)
             exact = ok
         else:
-            for rule in w.rules.rules():
-                s, ok = rule.sup_abs()
+            for rule, _ in ref_rules(w):
+                s, ok = ref_sup_abs(rule)
                 best = max(best, s ** 2)
                 exact = exact and ok
     return shift.NormResult(value=math.sqrt(best), exact=exact)
@@ -181,15 +287,19 @@ def ref_fredholm_data(w, m):
     tail_infs = []
     tails_cover = True
     if have_rules:
-        for rule in w.rules.rules():
-            iv, ok = rule.inf_abs_nonzero()
-            if iv is not None:
-                tail_infs.append(iv)
+        for rule, _ in ref_rules(w):
+            vals = [abs(v) for v in rule.head if v != 0]
+            ok = True
+            if rule.tail is not None:
+                (lo, ok), (hi, hi_ok) = ref_moduli(rule.tail, rule.start + len(rule.head))
+                if (hi, hi_ok) == (0.0, True):
+                    return shift.FredholmData(a=math.inf, b=math.inf, c=0.0, is_fredholm=False,
+                                              index=None, exact=True,
+                                              reason="a whole tail of weights vanishes")
+                vals.append(lo)
+            if vals:
+                tail_infs.append(min(vals))
             tails_cover = tails_cover and ok
-            if isinstance(rule.tail, shift.ConstantTail) and rule.tail.value_ == 0.0:
-                return shift.FredholmData(a=math.inf, b=math.inf, c=0.0, is_fredholm=False,
-                                          index=None, exact=True,
-                                          reason="a whole tail of weights vanishes")
         exact = exact and tails_cover
     a = sum(1 for s in norms2.values() if s == 0.0)
     b = 0
@@ -236,7 +346,7 @@ def ref_domain_inclusion_criteria(w, m, depth=None):
     envs = []
     binary = isinstance(w.rules, shift.BinaryWeights)
     if binary:
-        spine, off = w.rules.spine, w.rules.off_spine
+        spine, off = w.rules.spine, abs(w.rules.off_spine)
         mu = lambda i: abs(spine.value(i))
         white = 2.0 * off ** 2
         envs.append(([off, off], [white, white]))
@@ -302,12 +412,12 @@ def ref_is_quasinormal(w, m, tol=cls.REL_TOL):
                 return cls.Verdict("no", True, witness={
                     "parent": u, "child": v, "norms_squared": [norms2[u], norms2[v]]})
             common = norms2[u]
-    ranges = cls._tail_ranges(w)
+    rules = ref_rules(w)
     exact = (
-        ranges is not None
-        and all(ok and lo == hi for lo, hi, ok in ranges)
-        and cls._heads_covered(w, m)
-    ) or cls._binary_constant(w, m)
+        rules is not None
+        and all(r.tail is None or ref_constant(r) is not None for r, _ in rules)
+        and ref_heads_covered(rules, m)
+    )
     detail = {}
     nonzero = all(abs(w.weight(v)) > 0 for v in m.tree.vertices if m.tree.parent.get(v) is not None)
     if common is not None and nonzero:
@@ -337,24 +447,26 @@ def ref_is_p_hyponormal(w, m, p=1.0, tol=cls.REL_TOL) -> cls.Verdict:
         if not cls._leq(total, 1.0, tol):
             return cls.Verdict("no", True, witness={"vertex": u, "lhs": total})
 
+    rules = ref_rules(w)
+    if rules is None:
+        return cls.Verdict("yes", ref_finite(m), depth=m.depth or None)
     statuses = []
-    rules = cls._rules_list(w)
-    if rules is not None:
-        statuses = [cls._tail_hypo_status(r.tail) for r in rules if r.tail is not None]
-        for r, st in zip([r for r in rules if r.tail is not None], statuses):
-            if st == "fails":
-                j = r.tail_start() + 1
-                return cls.Verdict(
-                    "no", True,
-                    witness={"tail_index": j, "reason": "weights decrease along a tail"},
-                )
+    for r, fwd in rules:
+        if r.tail is None or fwd is None:
+            continue
+        st = ref_hypo_status(r.tail, fwd)
+        j = ref_first_drop(r, fwd) if st == "fails" else None
+        if j is not None:
+            return cls.Verdict(
+                "no", True,
+                witness={"tail_index": j, "reason": "weights decrease along a tail"},
+            )
+        statuses.append(st)
     exact = (
-        rules is not None
+        all(fwd is not None for _, fwd in rules)
         and all(st == "ok" for st in statuses)
-        and cls._heads_covered(w, m)
+        and ref_heads_covered(rules, m)
     )
-    if rules is None and not isinstance(w.rules, shift.BinaryWeights):
-        exact = m.complete == frozenset(m.tree.vertices) and not m.boundary_root
     return cls.Verdict("yes", exact, depth=m.depth or None)
 
 
@@ -364,21 +476,23 @@ def ref_is_isometry(w: WeightSystem, m: Materialized, tol: float = cls.REL_TOL) 
         s = sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
         if not cls._eq(s, 1.0, tol):
             return cls.Verdict("no", True, witness={"vertex": u, "norm_squared": s})
-    ranges = cls._tail_ranges(w)
+    rules = ref_rules(w)
+    if rules is None:
+        return cls.Verdict("yes", ref_finite(m), depth=m.depth or None)
     exact = (
-        ranges is not None
-        and all(ok and lo == 1.0 and hi == 1.0 for lo, hi, ok in ranges)
-        and cls._heads_covered(w, m)
+        all(fwd is not None and (r.tail is None or ref_constant(r) == 1.0) for r, fwd in rules)
+        and ref_heads_covered(rules, m)
     )
-    if ranges is None and not isinstance(w.rules, shift.BinaryWeights):
-        exact = m.complete == frozenset(m.tree.vertices) and not m.boundary_root
     return cls.Verdict("yes", exact, depth=m.depth or None)
 
 
 def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: float) -> cls.Verdict:
     """Shared detector for the rootless chain-with-dead-branches structure."""
+    rules = ref_rules(w)
     if m.has_true_root() if m.family is None else m.family.rooted():
-        if cls._zero_everywhere(w, m):
+        zero_tails = rules is None or all(
+            r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0 for r, _ in rules)
+        if zero_tails and all(abs(w.weight(v)) == 0.0 for v in m.tree.vertices if m.tree.parent.get(v) is not None):
             return cls.Verdict("yes", True, detail={"structure": "zero operator"})
         nz = next(
             v for v in sorted(m.tree.vertices, key=vertex_key)
@@ -449,11 +563,10 @@ def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol
         if abs(w.weight(v)) != 0.0:
             return cls.Verdict("no", True, witness={"vertex": v, "reason": "nonzero weight off the chain"})
 
-    ranges = cls._tail_ranges(w)
     exact = (
-        ranges is not None
-        and all(ok and lo == hi for lo, hi, ok in ranges)
-        and cls._heads_covered(w, m)
+        rules is not None
+        and all(r.tail is None or ref_constant(r) is not None for r, _ in rules)
+        and ref_heads_covered(rules, m)
     )
     return cls.Verdict(
         "yes", exact, depth=m.depth or None,
