@@ -157,17 +157,23 @@ def _least_step(rule, direction: int) -> tuple:
     return (lo if direction > 0 else (1.0 / hi if hi else math.inf)), exact
 
 
-def _first_drop(rule, direction: int) -> Optional[int]:
-    """The first j past the tail start where |lambda| falls from j - 1 read
-    along the shift (rises in j, against it); None within TAIL_WALK steps."""
+def _tail_walk(rule, found) -> Optional[int]:
+    """The first j past the tail start with found(|lambda_{j-1}|, |lambda_j|);
+    None within TAIL_WALK steps."""
     j0 = rule.tail_start()
     prev = abs(rule.value(j0))
     for j in range(j0 + 1, j0 + 1 + TAIL_WALK):
         cur = abs(rule.value(j))
-        if (cur < prev) if direction > 0 else (cur > prev):
+        if found(prev, cur):
             return j
         prev = cur
     return None
+
+
+def _first_drop(rule, direction: int) -> Optional[int]:
+    """The first j past the tail start where |lambda| falls from j - 1 read
+    along the shift (rises in j, against it)."""
+    return _tail_walk(rule, (lambda a, b: b < a) if direction > 0 else (lambda a, b: b > a))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +198,7 @@ def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Ve
     """||S e_u|| = ||S e_v|| whenever v is a child of u with nonzero weight."""
     loc = local_data(w, m)
     ar = m.arrays
-    ep, kids = loc.edge_parent, ar.child_idx
+    ep, kids = ar.edge_parent, ar.child_idx
     on = ar.checkable[ep] & (loc.mod[kids] != 0.0)  # edges in canonical order
     bad = on & ~_eq_all(loc.norms2[ep], loc.norms2[kids], tol)
     if bad.any():
@@ -221,28 +227,31 @@ def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Ve
     return Verdict("yes", exact, depth=m.depth or None, detail=detail)
 
 
-def _zero_everywhere(w: WeightSystem, m: Materialized) -> bool:
-    mats = all(
-        abs(w.weight(v)) == 0.0
-        for v in m.tree.vertices
-        if m.tree.parent.get(v) is not None
+def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
+    """A rooted shift is normal or cohyponormal only when it is zero: the
+    first nonzero weight of the prefix, else of a tail, is the witness."""
+    nz = next(
+        (v for v in m.tree.vertices if m.tree.parent.get(v) is not None and abs(w.weight(v)) != 0.0),
+        None,
     )
-    tails = w.rules is None or all(
-        r.tail is None or r.tail.sup(r.tail_start())[0] == 0.0 for r, _ in w.rules.directed_rules()
-    )
-    return mats and tails
+    if nz is not None:
+        return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
+    nonzero = [] if w.rules is None else [
+        r for r, _ in w.rules.directed_rules() if r.tail is not None and r.tail.sup(r.tail_start())[0] != 0.0
+    ]
+    if not nonzero:
+        return Verdict("yes", True, detail={"structure": "zero operator"})
+    for r in nonzero:
+        j = _tail_walk(r, lambda a, b: b != 0.0)
+        if j is not None:
+            return Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
+    return Verdict("indeterminate", False, depth=m.depth or None)
 
 
 def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: float) -> Verdict:
     """Shared detector for the rootless chain-with-dead-branches structure."""
     if m.has_true_root() if m.family is None else m.family.rooted():
-        if _zero_everywhere(w, m):
-            return Verdict("yes", True, detail={"structure": "zero operator"})
-        nz = next(
-            v for v in m.tree.vertices
-            if m.tree.parent.get(v) is not None and abs(w.weight(v)) != 0.0
-        )
-        return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
+        return _rooted_verdict(w, m)
 
     @functools.cache
     def norm2(u):  # ||S e_u||^2 of a complete vertex, resolved on first use
@@ -342,7 +351,7 @@ def _pow_all(xs: np.ndarray, p: float) -> np.ndarray:
 def _hyponormal_core(w, m, p, tol) -> Verdict:
     loc = local_data(w, m)
     ar = m.arrays
-    ep, kids = loc.edge_parent, ar.child_idx
+    ep, kids = ar.edge_parent, ar.child_idx
     on = ar.checkable[ep]  # edges below checkable vertices, in canonical order
     n2 = loc.norms2[kids]
     lam2 = loc.mod2[kids]
@@ -435,7 +444,7 @@ def _zgod0_check(w, fam, measures, chex: bool, orders: int, tol: float):
         for n in range(1, orders + 1):
             prod *= _branch_weight(w, i, n + 1) ** 2
             if chex:
-                want = msr.ca_sequence(1.0, mu, n)[n]
+                want = msr.ca_term(1.0, mu, n)
             else:
                 want = moment(mu, n)
             if not _eq(prod, want, tol):

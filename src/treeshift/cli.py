@@ -9,13 +9,14 @@ identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 from . import classify as cls
 from . import models, oracle, shift, tree
-from .measure import AtomicMeasure, ConditionViolated, NotProbabilityError
+from .measure import AtomicMeasure, NotProbabilityError
 
 __all__ = ["main", "run", "dumps_canonical"]
 
@@ -63,14 +64,28 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: {e}")
+    if not isinstance(d, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    return d
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Yield the JSON object in ``path``; a key, type or value error raised
+    while reading it is an :class:`InputError` that names the file."""
+    d = _load_json(path)
+    try:
+        yield d
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def _parse_kappa(x):
@@ -79,19 +94,28 @@ def _parse_kappa(x):
     return int(x)
 
 
+def _optional(x, parse):
+    return None if x is None else parse(x)
+
+
+def _floats(xs) -> list:
+    return [float(x) for x in xs]
+
+
+def _explicit_tree(d: dict) -> tree.DirectedTree:
+    return tree.validate(d["vertices"], [tuple(e) for e in d["edges"]])
+
+
 def _load_tree(path: str, depth: int):
-    d = _load_json(path)
-    kind = d.get("kind")
-    if kind == "explicit":
-        try:
-            t = tree.validate(d["vertices"], [tuple(e) for e in d["edges"]])
-        except tree.ValidationError as e:
-            raise InputError(f"{path}: {e}")
-        m = tree.explicit_truncation(
-            t, d.get("incomplete", ()), bool(d.get("rootless", False))
-        )
-        return m, None
-    if kind == "family":
+    with _reading(path) as d:
+        kind = d.get("kind")
+        if kind == "explicit":
+            m = tree.explicit_truncation(
+                _explicit_tree(d), d.get("incomplete", ()), bool(d.get("rootless", False))
+            )
+            return m, None
+        if kind != "family":
+            raise InputError(f"{path}: kind must be 'explicit' or 'family'")
         name = str(d.get("family", "")).lower()
         depth = int(d.get("depth", depth))
         if name in ("z_plus", "z", "z_minus", "binary"):
@@ -100,20 +124,16 @@ def _load_tree(path: str, depth: int):
             fam = tree.broom(int(d["eta"]), _parse_kappa(d.get("kappa", 0)))
         else:
             raise InputError(f"{path}: unknown family {d.get('family')!r}")
-        return fam.materialize(depth), fam
-    raise InputError(f"{path}: kind must be 'explicit' or 'family'")
+    return fam.materialize(depth), fam
 
 
 def _load_weights(path: str, fam):
-    d = _load_json(path)
-    try:
+    with _reading(path) as d:
         return shift.weights_from_json(d, fam)
-    except (KeyError, ValueError) as e:
-        raise InputError(f"{path}: {e}")
 
 
 def _load_measures(d) -> list:
-    return [AtomicMeasure.from_pairs(item["atoms"]) for item in d["measures"]]
+    return [AtomicMeasure.from_json(item) for item in d["measures"]]
 
 
 def _emit(payload: dict) -> None:
@@ -121,14 +141,14 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    d = _load_json(args.tree)
-    if d.get("kind") != "explicit":
-        raise InputError("validate expects an explicit tree")
-    try:
-        t = tree.validate(d["vertices"], [tuple(e) for e in d["edges"]])
-    except tree.ValidationError as e:
-        _emit({"valid": False, "error": {"kind": type(e).__name__, "message": str(e)}})
-        return 2
+    with _reading(args.tree) as d:
+        if d.get("kind") != "explicit":
+            raise InputError("validate expects an explicit tree")
+        try:
+            t = _explicit_tree(d)
+        except tree.ValidationError as e:
+            _emit({"valid": False, "error": {"kind": type(e).__name__, "message": str(e)}})
+            return 2
     _emit({"valid": True, "root": t.root, "vertices": len(t.vertices)})
     return 0
 
@@ -197,9 +217,8 @@ def cmd_classify(args) -> int:
             depth=args.depth,
         )
     if args.measures:
-        spec = _load_json(args.measures)
-        ms = _load_measures(spec)
-        flavor = spec.get("flavor", "subnormal")
+        with _reading(args.measures) as spec:
+            ms, flavor = _load_measures(spec), spec.get("flavor", "subnormal")
         try:
             if flavor == "subnormal":
                 entries["subnormal_model"] = cls.subnormal_on_T(
@@ -217,50 +236,32 @@ def cmd_classify(args) -> int:
 
 
 def cmd_construct_subnormal(args) -> int:
-    spec = _load_json(args.spec)
+    with _reading(args.spec) as spec:
+        eta, kappa, ms = int(spec["eta"]), _parse_kappa(spec.get("kappa", 0)), _load_measures(spec)
+        lambda1, theta = _optional(spec.get("lambda1"), _floats), _optional(spec.get("theta"), float)
     try:
-        res = models.construct_subnormal(
-            int(spec["eta"]),
-            _parse_kappa(spec.get("kappa", 0)),
-            _load_measures(spec),
-            lambda1=spec.get("lambda1"),
-            theta=spec.get("theta"),
-        )
-    except (
-        models.NoAdmissibleLambda1Error,
-        models.ThetaOutOfRangeError,
-        NotProbabilityError,
-        ConditionViolated,
-        ValueError,
-    ) as e:
+        res = models.construct_subnormal(eta, kappa, ms, lambda1=lambda1, theta=theta)
+    except ValueError as e:  # the model's conditions refuse the spec
         raise InputError(f"{type(e).__name__}: {e}")
     _emit(res.to_json())
     return 0
 
 
 def cmd_construct_chex(args) -> int:
-    spec = _load_json(args.spec)
+    with _reading(args.spec) as spec:
+        eta, kappa, ms = int(spec["eta"]), int(spec.get("kappa", 0)), _load_measures(spec)
+        t, theta = _optional(spec.get("t"), _floats), _optional(spec.get("theta"), float)
     try:
-        res = models.construct_chex(
-            int(spec["eta"]),
-            int(spec.get("kappa", 0)),
-            _load_measures(spec),
-            t=spec.get("t"),
-            theta=spec.get("theta"),
-        )
-    except (
-        models.TConditionsViolatedError,
-        models.ThetaOutOfRangeError,
-        ValueError,
-    ) as e:
+        res = models.construct_chex(eta, kappa, ms, t=t, theta=theta)
+    except ValueError as e:  # the model's conditions refuse the spec
         raise InputError(f"{type(e).__name__}: {e}")
     _emit(res.to_json())
     return 0
 
 
 def cmd_backward_extension(args) -> int:
-    d = _load_json(args.measure)
-    mu = AtomicMeasure.from_pairs(d["atoms"])
+    with _reading(args.measure) as d:
+        mu = AtomicMeasure.from_json(d)
     k = math.inf if args.k == "inf" else int(args.k)
     try:
         ok = models.backward_extension(mu, k, args.flavor)
@@ -361,10 +362,9 @@ def run(argv) -> int:
         _emit({"error": {"kind": "InputError", "message": str(e)}})
         return 2
     except (
-        shift.IncompleteTruncationError,
-        shift.NonFiniteWeightError,
+        ValueError,  # a computation refused its input
+        shift.UnknownWeightError,
         tree.UnknownVertexError,
-        oracle.EmptyInteriorError,
         OverflowError,  # a tail rule past the float range
         ZeroDivisionError,
     ) as e:

@@ -278,12 +278,14 @@ def backward_extend_ca(a0: float, t: AtomicMeasure, tol: float = 1e-12) -> Atomi
     return AtomicMeasure.from_pairs(pairs)
 
 
+def ca_term(a0: float, t: AtomicMeasure, n: int) -> float:
+    """a_n = a_0 + integral of (1 + s + ... + s^(n-1)) d(tau)."""
+    acc = a0
+    for p, w in t.atoms:
+        acc += w * sum(p ** k for k in range(n))
+    return float(acc)
+
+
 def ca_sequence(a0: float, t: AtomicMeasure, upto: int) -> list:
-    """a_n = a_0 + integral of (1 + s + ... + s^(n-1)) d(tau), n = 0..upto."""
-    out = [float(a0)]
-    for n in range(1, upto + 1):
-        acc = a0
-        for p, w in t.atoms:
-            acc += w * sum(p ** k for k in range(n))
-        out.append(acc)
-    return out
+    """[a_0, ..., a_upto] of :func:`ca_term`."""
+    return [ca_term(a0, t, n) for n in range(upto + 1)]

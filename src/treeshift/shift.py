@@ -14,8 +14,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .measure import AtomicMeasure, atoms_moment, ca_sequence
-from .tree import IndeterminateError, Materialized, TreeFamily, UnknownVertexError, _PAIR_RE
+from .measure import AtomicMeasure, atoms_moment, ca_term
+from .tree import IndeterminateError, Materialized, TreeFamily, UnknownVertexError, vertex_key
 
 __all__ = [
     "IncompleteTruncationError",
@@ -262,7 +262,7 @@ class CaRatioTail:
     tau: AtomicMeasure
 
     def _a(self, n: int) -> float:
-        return ca_sequence(1.0, self.tau, n)[n]
+        return ca_term(1.0, self.tau, n)
 
     def value(self, idx: int) -> float:
         return math.sqrt(self._a(idx - 1) / self._a(idx - 2))
@@ -359,9 +359,9 @@ def tail_from_json(d: dict):
     if kind == "affine":
         return AffineTail(tuple(int(b) for b in d["breaks"]))
     if kind == "moment_ratio":
-        return MomentRatioTail(AtomicMeasure.from_pairs(d["atoms"]))
+        return MomentRatioTail(AtomicMeasure.from_json(d))
     if kind == "ca_ratio":
-        return CaRatioTail(AtomicMeasure.from_pairs(d["atoms"]))
+        return CaRatioTail(AtomicMeasure.from_json(d))
     if kind == "trunk_moment_ratio":
         return TrunkMomentRatioTail(
             tuple(float(x) for x in d["lambda1"]),
@@ -468,15 +468,14 @@ class BroomWeights(_ChainRules):
     trunk: Optional[BranchRule] = None  # index k of lambda_{-k}, starting at 0
 
     def lookup(self, v: str):
-        m = _PAIR_RE.match(v)
-        if m:
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= self.eta) or j < 1:
+        form, a, j = vertex_key(v)
+        if form == 1:
+            if not (1 <= a <= self.eta) or j < 1:
                 raise UnknownWeightError(v)
-            return self.branches[i - 1], j
-        k = -int(v)
-        if k < 0:
+            return self.branches[a - 1], j
+        if form != 0 or a > 0:
             raise UnknownWeightError(v)
+        k = -a
         if self.kappa != math.inf and k >= self.kappa:
             raise UnknownWeightError(v)  # the root carries no weight
         if self.trunk is None:
@@ -510,7 +509,9 @@ class ChainWeights(_ChainRules):
     neg: Optional[BranchRule] = None
 
     def lookup(self, v: str):
-        n = int(v)
+        form, n, _ = vertex_key(v)
+        if form != 0:
+            raise UnknownWeightError(v)
         if n >= 1:
             if self.kind == "z_minus" or self.pos is None:
                 raise UnknownWeightError(v)
@@ -550,10 +551,9 @@ class BinaryWeights:
         _finite(self.off_spine, "off_spine")
 
     def lookup(self, v: str):
-        m = _PAIR_RE.match(v)
-        if not m:
+        form, i, j = vertex_key(v)
+        if form != 1:
             raise UnknownWeightError(v)
-        i, j = int(m.group(1)), int(m.group(2))
         if j == 1:
             return self.spine, i
         return BranchRule(head=(), tail=ConstantTail(self.off_spine), start=0), i
@@ -722,13 +722,11 @@ class LocalData:
 
     Only the weights of children of complete vertices are resolved; ``mod``
     and ``mod2`` are NaN elsewhere and ``norms2`` is 0 on incomplete vertices.
-    ``edge_parent`` is the parent of each entry of ``child_idx``.
     """
 
     mod: np.ndarray
     mod2: np.ndarray
     norms2: np.ndarray
-    edge_parent: np.ndarray
 
 
 def local_data(w: WeightSystem, m: Materialized) -> LocalData:
@@ -736,7 +734,7 @@ def local_data(w: WeightSystem, m: Materialized) -> LocalData:
     ar = m.arrays
     names = m.tree.vertices
     n = len(names)
-    ep = ar.parent[ar.child_idx]
+    ep = ar.edge_parent
     below = ar.complete[ep]
     kids = ar.child_idx[below]
     mods = [abs(w.weight(names[v])) for v in kids.tolist()]
@@ -751,7 +749,7 @@ def local_data(w: WeightSystem, m: Materialized) -> LocalData:
     mod2[kids] = sq
     # bincount adds in storage order: per parent, children in canonical order
     norms2 = np.bincount(ep[below], weights=sq, minlength=n)
-    return LocalData(mod, mod2, norms2, ep)
+    return LocalData(mod, mod2, norms2)
 
 
 def shift_norms_squared(w: WeightSystem, m: Materialized) -> dict:
@@ -880,7 +878,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     live = ar.complete & (deg > 0)
     a = int(np.count_nonzero(ar.complete & (loc.norms2 == 0.0)))
     b = int(np.sum(np.where(loc.norms2[live] > 0.0, deg[live] - 1, deg[live])))
-    ep = loc.edge_parent
+    ep = ar.edge_parent
     chain = loc.mod[ar.child_idx[ar.complete[ep] & (deg[ep] == 1)]]
     chain = chain[chain != 0.0]
     c_candidates = [float(chain.min())] if chain.size else []
@@ -1022,7 +1020,7 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
         level, names = np.arange(len(mods)), [""] * len(mods)
     else:
         ar = m.arrays
-        ep, kids = loc.edge_parent, ar.child_idx
+        ep, kids = ar.edge_parent, ar.child_idx
         deg = np.diff(ar.child_ptr)
         envs = np.flatnonzero(ar.checkable & (deg > 0))
         # sums over children in storage order, as the one-vertex sum takes them

@@ -21,7 +21,6 @@ __all__ = [
     "DisconnectedError",
     "CircuitError",
     "MultipleParentsError",
-    "MultipleRootsError",
     "UnknownVertexError",
     "EmptyComplementError",
     "NotFredholmError",
@@ -62,12 +61,6 @@ class MultipleParentsError(ValidationError):
         self.vertex = vertex
 
 
-class MultipleRootsError(ValidationError):
-    def __init__(self, roots):
-        super().__init__(f"more than one root: {sorted(roots)}")
-        self.roots = frozenset(roots)
-
-
 class UnknownVertexError(KeyError):
     pass
 
@@ -88,19 +81,18 @@ _PAIR_RE = re.compile(r"^\((-?\d+),(-?\d+)\)$")
 
 
 def vertex_key(v: str):
-    """Canonical sort key: integers, then (i,j) pairs, then plain strings."""
-    try:
-        return (0, int(v), 0)
-    except ValueError:
-        pass
+    """Canonical sort key: integers, then (i,j) pairs, then plain strings.
+
+    The one reader of the form of a vertex id: ``(0, n, 0)`` for an integer
+    id n, ``(1, i, j)`` for a pair and ``(2, v, 0)`` for any other label.
+    """
     m = _PAIR_RE.match(v)
     if m:
         return (1, int(m.group(1)), int(m.group(2)))
-    return (2, v, 0)
-
-
-def _sorted_vertices(vs: Iterable[str]) -> tuple:
-    return tuple(sorted(vs, key=vertex_key))
+    try:
+        return (0, int(v), 0)
+    except ValueError:
+        return (2, v, 0)
 
 
 @dataclass(frozen=True)
@@ -145,25 +137,30 @@ class StructuralSets:
 
 
 def _build(vertices, parent) -> DirectedTree:
-    children: dict = {v: [] for v in vertices}
-    for v, u in parent.items():
-        children[u].append(v)
-    children = {u: _sorted_vertices(cs) for u, cs in children.items()}
-    roots = [v for v in vertices if v not in parent]
-    root = roots[0] if len(roots) == 1 else None
+    """The tree in canonical order: one sort of the vertices, and each
+    children tuple filled by walking that order, so it comes out sorted."""
+    order = tuple(sorted(vertices, key=vertex_key))
+    children: dict = {v: [] for v in order}
+    roots = []
+    for v in order:
+        u = parent.get(v)
+        if u is None:
+            roots.append(v)
+        else:
+            children[u].append(v)
     return DirectedTree(
-        vertices=_sorted_vertices(vertices),
+        vertices=order,
         parent=dict(parent),
-        children=children,
-        root=root,
+        children={u: tuple(cs) for u, cs in children.items()},
+        root=roots[0] if len(roots) == 1 else None,
     )
 
 
 def validate(vertices: Iterable[str], edges: Iterable[tuple]) -> DirectedTree:
     """Check that (vertices, edges) is a directed tree and build it.
 
-    Raises :class:`MultipleParentsError`, :class:`CircuitError`,
-    :class:`DisconnectedError` or :class:`MultipleRootsError` otherwise.
+    Raises :class:`MultipleParentsError`, :class:`CircuitError` or
+    :class:`DisconnectedError` otherwise.
     """
     vs = [str(v) for v in vertices]
     vset = set(vs)
@@ -182,43 +179,29 @@ def validate(vertices: Iterable[str], edges: Iterable[tuple]) -> DirectedTree:
             raise MultipleParentsError(v)
         parent[v] = u
 
-    # Circuits: follow parents; with unique parents any circuit is a parent cycle.
-    state: dict = {}  # 0 = in progress, 1 = done
+    # Circuits: follow parents; with unique parents any circuit is a parent
+    # cycle.  Every vertex walked records the root its parent chain ends at.
+    root_of: dict = {}
     for start in vs:
-        if state.get(start) == 1:
-            continue
-        path = []
-        v = start
-        while v is not None and state.get(v) != 1:
-            if state.get(v) == 0:
-                cycle = path[path.index(v):] + [v]
-                raise CircuitError(cycle)
-            state[v] = 0
+        path, on_path, v = [], set(), start
+        while v not in root_of:
+            if v in on_path:
+                raise CircuitError(path[path.index(v):] + [v])
+            on_path.add(v)
             path.append(v)
-            v = parent.get(v)
+            if v not in parent:
+                root_of[v] = v
+                break
+            v = parent[v]
         for w in path:
-            state[w] = 1
+            root_of[w] = root_of[v]
 
-    # Connectivity of the undirected graph.
-    adj: dict = {v: set() for v in vs}
-    for v, u in parent.items():
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {vs[0]}
-    stack = [vs[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(vset):
-        raise DisconnectedError(f"{len(vset) - len(seen)} vertices unreachable")
-
-    roots = [v for v in vs if v not in parent]
-    if len(roots) > 1:
-        raise MultipleRootsError(roots)
-    return _build(vset, parent)
+    # Without circuits the graph is a forest: connected iff it has one root.
+    top = root_of[vs[0]]
+    outside = sum(1 for v in vs if root_of[v] != top)
+    if outside:
+        raise DisconnectedError(f"{outside} vertices unreachable")
+    return _build(vs, parent)
 
 
 def descendants(t: DirectedTree, u: str, n: int) -> frozenset:
@@ -302,6 +285,7 @@ class TreeArrays:
     parent: np.ndarray  # parent id, -1 at the root
     child_ptr: np.ndarray
     child_idx: np.ndarray
+    edge_parent: np.ndarray  # parent of each entry of child_idx
     complete: np.ndarray  # bool mask
     level: np.ndarray  # distance from the materialized root
     checkable: np.ndarray  # complete, and every child complete: ||S e_v|| known below
@@ -339,31 +323,24 @@ class Materialized:
 
     def levels(self) -> dict:
         """Distance from the materialized root, per vertex."""
-        out = {self.tree.root: 0}
-        stack = [self.tree.root]
-        while stack:
-            u = stack.pop()
-            for v in self.tree.children[u]:
-                out[v] = out[u] + 1
-                stack.append(v)
-        return out
+        return dict(zip(self.tree.vertices, self.arrays.level.tolist()))
 
     @cached_property
     def arrays(self) -> TreeArrays:
         t = self.tree
         n = len(t.vertices)
         index = {v: i for i, v in enumerate(t.vertices)}
-        deg = np.fromiter((len(t.children[v]) for v in t.vertices), np.int64, n)
+        parent = np.fromiter((index.get(t.parent.get(v), -1) for v in t.vertices), np.int64, n)
+        # a stable sort by parent id puts the root (-1) first and keeps each
+        # parent's children in canonical order, the order of tree.children
+        order = np.argsort(parent, kind="stable")
+        child_idx = order[parent[order] >= 0]
+        edge_parent = parent[child_idx]
         child_ptr = np.zeros(n + 1, np.int64)
-        np.cumsum(deg, out=child_ptr[1:])
-        child_idx = np.fromiter(
-            (index[c] for v in t.vertices for c in t.children[v]), np.int64, int(child_ptr[-1])
-        )
-        parent = np.full(n, -1, np.int64)
-        parent[child_idx] = np.repeat(np.arange(n), deg)
+        np.cumsum(np.bincount(edge_parent, minlength=n), out=child_ptr[1:])
         complete = np.fromiter((v in self.complete for v in t.vertices), bool, n)
         checkable = complete.copy()
-        checkable[parent[child_idx[~complete[child_idx]]]] = False
+        checkable[parent[(parent >= 0) & ~complete]] = False
         # pointer doubling: after k rounds every vertex knows its distance to
         # the ancestor 2**k levels up, or to the root
         up, live = parent, parent >= 0
@@ -372,7 +349,7 @@ class Materialized:
             level = level + np.where(live, level[up], 0)
             up = np.where(live, up[up], -1)
             live = up >= 0
-        return TreeArrays(parent, child_ptr, child_idx, complete, level, checkable)
+        return TreeArrays(parent, child_ptr, child_idx, edge_parent, complete, level, checkable)
 
 
 def as_complete(t: DirectedTree) -> Materialized:
@@ -481,7 +458,7 @@ class TreeFamily:
                     v = f"({i},{j})"
                     vs.append(v)
                     parent[v] = "0" if i == 1 else f"({i - 1},{(j + 1) // 2})"
-            complete = {v for v in vs if v == "0" or int(_PAIR_RE.match(v).group(1)) < depth}
+            complete = set(vs[: 2 ** depth - 1])  # levels 0 .. depth - 1, as generated
             boundary = False
         else:  # custom
             vs = [self.custom_root]

@@ -141,6 +141,50 @@ def random_weights(rng: random.Random, t, lo=0.0, hi=3.0, zeros=0.0):
 TWO_ATOM = AtomicMeasure.from_pairs([(0.5, 0.5), (1.0, 0.5)])
 
 
+# -- canonical order, built the direct way ------------------------------------
+
+
+def ref_build(vertices, parent) -> tree.DirectedTree:
+    """The tree with each children tuple and the vertex set sorted by
+    ``vertex_key`` on their own."""
+    children = {v: [] for v in vertices}
+    for v, u in parent.items():
+        children[u].append(v)
+    roots = [v for v in vertices if v not in parent]
+    return tree.DirectedTree(
+        vertices=tuple(sorted(vertices, key=vertex_key)),
+        parent=dict(parent),
+        children={u: tuple(sorted(cs, key=vertex_key)) for u, cs in children.items()},
+        root=roots[0] if len(roots) == 1 else None,
+    )
+
+
+def ref_levels(t) -> dict:
+    """Distance from the root, by breadth-first search."""
+    out, frontier, k = {t.root: 0}, [t.root], 0
+    while frontier:
+        k += 1
+        frontier = [v for u in frontier for v in t.children[u]]
+        out.update((v, k) for v in frontier)
+    return out
+
+
+def ref_arrays(t, complete) -> dict:
+    """The integer view's fields, read off the children tuples one by one."""
+    index = {v: i for i, v in enumerate(t.vertices)}
+    kids = [[index[c] for c in t.children[v]] for v in t.vertices]
+    levels = ref_levels(t)
+    return {
+        "parent": [index[t.parent[v]] if v in t.parent else -1 for v in t.vertices],
+        "child_ptr": [0] + list(np.cumsum([len(k) for k in kids])),
+        "child_idx": [c for k in kids for c in k],
+        "edge_parent": [u for u, k in enumerate(kids) for _ in k],
+        "complete": [v in complete for v in t.vertices],
+        "level": [levels[v] for v in t.vertices],
+        "checkable": [v in complete and all(c in complete for c in t.children[v]) for v in t.vertices],
+    }
+
+
 # -- the tail rules, stated per tail type ----------------------------------------
 # What each tail kind guarantees beyond a prefix, written out per type and per
 # direction, so that the reference does not lean on the library's tail facts.
@@ -354,7 +398,7 @@ def ref_domain_inclusion_criteria(w, m, depth=None):
             envs.append(([mu(i + 1), off], [mu(i + 2) ** 2 + off ** 2, white]))
     else:
         norms2 = ref_norms_squared(w, m)
-        lv = m.levels()
+        lv = ref_levels(m.tree)
         for u in sorted(m.complete, key=lambda u: (lv[u], u)):
             kids = m.tree.children[u]
             if kids and all(v in m.complete for v in kids):
@@ -494,11 +538,21 @@ def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol
             r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0 for r, _ in rules)
         if zero_tails and all(abs(w.weight(v)) == 0.0 for v in m.tree.vertices if m.tree.parent.get(v) is not None):
             return cls.Verdict("yes", True, detail={"structure": "zero operator"})
-        nz = next(
+        nz = next((
             v for v in sorted(m.tree.vertices, key=vertex_key)
             if m.tree.parent.get(v) is not None and abs(w.weight(v)) != 0.0
-        )
-        return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
+        ), None)
+        if nz is not None:
+            return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
+        # the prefix is zero: a nonzero tail weight past the tail start is the witness
+        for r, _ in rules:
+            if r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0:
+                continue
+            j0 = r.start + len(r.head)
+            j = next((j for j in range(j0 + 1, j0 + 1 + TAIL_WALK) if abs(r.value(j)) != 0.0), None)
+            if j is not None:
+                return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
+        return cls.Verdict("indeterminate", False, depth=m.depth or None)
 
     norms2 = ref_norms_squared(w, m)
     chain = []

@@ -8,8 +8,10 @@ witnesses compared byte for byte through the CLI's canonical JSON, and
 """
 
 import cmath
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,12 +33,15 @@ from treeshift.shift import (
 from treeshift.measure import AtomicMeasure
 
 from helpers import (
+    ref_arrays,
+    ref_build,
     ref_chain_verdict,
     ref_domain_inclusion_criteria,
     ref_fredholm_data,
     ref_is_isometry,
     ref_is_p_hyponormal,
     ref_is_quasinormal,
+    ref_levels,
     ref_norm,
     ref_norms_squared,
 )
@@ -163,6 +168,39 @@ def test_integer_view():
     assert a.complete.tolist() == [True, True, True, False, True, False]
     assert a.level.tolist() == [0, 1, 2, 3, 2, 3]
     assert m.arrays is a  # built once per prefix
+
+
+# -- canonical order is decided once, in tree._build ----------------------------
+
+
+def assert_matches_reference_build(m):
+    ref = ref_build(set(m.tree.vertices), m.tree.parent)
+    assert m.tree == ref
+    want = ref_arrays(ref, m.complete)
+    for f in dataclasses.fields(tree.TreeArrays):
+        assert np.array_equal(getattr(m.arrays, f.name), np.array(want[f.name])), f.name
+    assert m.levels() == ref_levels(ref)
+
+
+FAMILIES = [ts.zplus(), ts.zline(), ts.zminus(), ts.broom(2, 0), ts.broom(3, 2), ts.broom(2, math.inf),
+            ts.binary(), tree.TreeFamily(kind="custom", generator=lambda u: [u + "a", u + "b"][: len(u) % 2 + 1],
+                                         custom_root="r")]
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+def test_families_match_reference_build(fam):
+    for depth in range(1, 7):
+        assert_matches_reference_build(fam.materialize(depth))
+
+
+def test_deep_broom_matches_reference_build():
+    assert_matches_reference_build(ts.broom(4, math.inf).materialize(4000))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(explicit_prefixes())
+def test_explicit_trees_match_reference_build(wm):
+    assert_matches_reference_build(wm[1])
 
 
 def test_lazy_predicates_stop_at_first_violation():

@@ -6,7 +6,7 @@ import pytest
 import treeshift as ts
 from treeshift import classify, models, shift, tree
 from treeshift.measure import AtomicMeasure, NotProbabilityError
-from treeshift.shift import BranchRule, BinaryWeights, ConstantTail, WeightSystem
+from treeshift.shift import BranchRule, BinaryWeights, BroomWeights, ConstantTail, SequenceTail, WeightSystem
 
 from helpers import (
     broom_weights,
@@ -16,6 +16,7 @@ from helpers import (
     p_separating,
     random_tree,
     random_weights,
+    ref_chain_verdict,
     side_branch_chain,
     stem_binary,
     two_threads,
@@ -333,3 +334,20 @@ def test_admissibility():
     assert not any(
         rep_f[k] for k in ("hyponormal_nonzero", "coisometric", "unitary", "normal_nonzero")
     )
+
+
+def test_rooted_zero_prefix_with_a_nonzero_tail():
+    # every prefix weight is 0, so the witness is a tail index
+    m = ts.broom(2, 0).materialize(1)
+    rule = BranchRule((0.0,), ConstantTail(1.0), 1)
+    w = WeightSystem(rules=BroomWeights(2, 0, (rule, rule)))
+    for require_equal, pred in ((True, classify.is_normal), (False, classify.is_cohyponormal)):
+        v = pred(w, m)
+        assert (v.value, v.exact, v.witness) == ("no", True, {"reason": "rooted and nonzero", "tail_index": 3})
+        assert v == ref_chain_verdict(w, m, require_equal, classify.REL_TOL)
+    # a tail that may be nonzero but reads 0 at every index walked decides nothing
+    zero = BranchRule((0.0,), SequenceTail(lambda i: 0.0), 1)
+    w = WeightSystem(rules=BroomWeights(2, 0, (zero, zero)))
+    v = classify.is_normal(w, m)
+    assert (v.value, v.exact) == ("indeterminate", False)
+    assert v == ref_chain_verdict(w, m, True, classify.REL_TOL)

@@ -326,3 +326,44 @@ def test_norm_factorial_tail_past_float_range(capsys, tmp_path):
     code, out = _run(capsys, ["norm", tree, weights, "--depth", "190"])
     assert code == 0
     assert out == '{"exact": true, "norm": "inf"}\n'
+
+
+# -- malformed input: an error object and exit 2, never a traceback ------------
+
+BROOM_NO_TRUNK = {
+    "t.json": {"kind": "family", "family": "t_eta_kappa", "eta": 2, "kappa": 1, "depth": 4},
+    "w.json": {"tails": [{"branch": b, "tail": {"kind": "constant", "value": 1.0}} for b in (1, 2)]},
+}
+LINE_W = {"pos": {"tail": {"kind": "constant", "value": 1.0}}}
+TWO_DELTAS = [{"atoms": [[1.0, 1.0]]}, {"atoms": [[0.5, 1.0]]}]
+
+BAD_INPUTS = {
+    "validate-without-edges": (["validate", "t.json"], {"t.json": {"kind": "explicit", "vertices": ["a"]}}),
+    "broom-without-eta": (["index", "t.json"], {"t.json": {"kind": "family", "family": "t_eta_kappa"}}),
+    "top-level-array": (["index", "t.json"], {"t.json": [{"kind": "family", "family": "z"}]}),
+    "atom-without-mass": (["backward-extension", "m.json"], {"m.json": {"atoms": [[0.5]]}}),
+    "spec-without-measures": (["construct-subnormal", "s.json"], {"s.json": {"eta": 2, "kappa": 1}}),
+    "theta-not-a-number": (["construct-subnormal", "s.json"],
+                           {"s.json": {"eta": 2, "kappa": 1, "theta": "x", "measures": TWO_DELTAS}}),
+    "t-not-numbers": (["construct-chex", "s.json"],
+                      {"s.json": {"eta": 2, "kappa": 1, "t": [None, 0.6], "measures": TWO_DELTAS}}),
+    "binary-depth-20": (["norm", "t.json", "w.json", "--depth", "20"],
+                        {"t.json": {"kind": "family", "family": "binary"}, "w.json": {"mu": LINE_W["pos"]}}),
+    "depth-0": (["norm", "t.json", "w.json"],
+                {"t.json": {"kind": "family", "family": "z_plus", "depth": 0}, "w.json": LINE_W}),
+    "norm-without-trunk-rule": (["norm", "t.json", "w.json"], BROOM_NO_TRUNK),
+    "classify-without-trunk-rule": (["classify", "t.json", "w.json"], BROOM_NO_TRUNK),
+    "one-measure-for-two-branches": (["classify", "t.json", "w.json", "--measures", "m.json"],
+                                     {**BROOM_NO_TRUNK, "t.json": {**BROOM_NO_TRUNK["t.json"], "kappa": 0},
+                                      "m.json": {"measures": TWO_DELTAS[:1]}}),
+}
+
+
+@pytest.mark.parametrize("argv,files", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_malformed_input_exits_2(capsys, tmp_path, argv, files):
+    for name, obj in files.items():
+        _write(tmp_path, name, obj)
+    code, out = _run(capsys, [str(tmp_path / a) if a in files else a for a in argv])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert set(err) == {"kind", "message"}

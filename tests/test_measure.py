@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import measure, oracle
+from treeshift.shift import CaRatioTail
 from treeshift.measure import (
     AtomicMeasure,
     ConditionViolated,
@@ -171,3 +172,22 @@ def test_jacobi_matches_lapack():
 def test_json_round_trip():
     mu = AtomicMeasure.from_pairs([(0.5, 0.25), (2.0, 1.5)])
     assert AtomicMeasure.from_json(mu.to_json()) == mu
+
+
+def test_ca_terms_keep_the_sequence_floats():
+    # the sequence as a full build took it: each a_n accumulated from a_0
+    def built(a0, t, upto):
+        out = [float(a0)]
+        for n in range(1, upto + 1):
+            acc = a0
+            for p, w in t.atoms:
+                acc += w * sum(p ** k for k in range(n))
+            out.append(acc)
+        return out
+
+    for tau in (AtomicMeasure.zero(), AtomicMeasure.from_pairs([(0.3, 0.2), (0.6, 0.3), (0.95, 0.4)])):
+        want = built(1.0, tau, 300)
+        assert ca_sequence(1.0, tau, 300) == want
+        assert [measure.ca_term(1.0, tau, n) for n in range(301)] == want
+        tail = CaRatioTail(tau)
+        assert [tail.value(j) for j in range(2, 302)] == [math.sqrt(want[j - 1] / want[j - 2]) for j in range(2, 302)]

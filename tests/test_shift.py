@@ -10,11 +10,14 @@ from treeshift.shift import (
     AffineTail,
     BinaryWeights,
     BranchRule,
+    BroomWeights,
+    ChainWeights,
     ConstantTail,
     FactorialTail,
     GeometricTail,
     IncompleteTruncationError,
     SequenceTail,
+    UnknownWeightError,
     WeightSystem,
     weights_from_json,
 )
@@ -417,3 +420,12 @@ def test_weights_json_round_trip():
         if m.tree.parent.get(v) is None:
             continue
         assert w2.weight(v) == w.weight(v)
+
+
+def test_id_of_the_wrong_form_has_no_weight():
+    one = BranchRule((), ConstantTail(1.0), 1)
+    line = ChainWeights("z", pos=one, neg=BranchRule((), ConstantTail(1.0), 0))
+    broom = BroomWeights(2, 1, (one, one), BranchRule((1.0,), None, 0))
+    for rules, v in ((line, "(1,2)"), (broom, "x"), (BinaryWeights(one), "3")):
+        with pytest.raises(UnknownWeightError):
+            WeightSystem(rules=rules).weight(v)

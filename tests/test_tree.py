@@ -29,6 +29,13 @@ def test_validate_disconnected():
         tree.validate(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
 
 
+def test_validate_forest_of_three():
+    # trees {a, b, c}, {d, e} and {f}; the count is of the vertices outside
+    # the tree that holds the first input vertex, e
+    with pytest.raises(tree.DisconnectedError, match=r"^4 vertices unreachable$"):
+        tree.validate(["e", "a", "b", "c", "d", "f"], [("a", "b"), ("a", "c"), ("d", "e")])
+
+
 def test_validate_multiple_parents():
     with pytest.raises(tree.MultipleParentsError):
         tree.validate(["a", "b", "c"], [("a", "c"), ("b", "c"), ("a", "b")])
