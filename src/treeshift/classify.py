@@ -24,7 +24,7 @@ from .measure import (
     SequenceVerdict,
     moment,
 )
-from .models import model_tail
+from .models import _neg_sum, model_tail
 from .shift import (
     IncompleteTruncationError,
     WeightSystem,
@@ -136,7 +136,7 @@ def _pinned(w: WeightSystem, m: Materialized, fact, finite: bool = False) -> boo
     inside the complete region and ``fact(rule, direction)`` holds on every
     tail.  Without: when ``finite`` is set and the prefix is a whole tree."""
     if w.rules is None:
-        return finite and m.complete == frozenset(m.tree.vertices) and not m.boundary_root
+        return finite and m.whole
     rules = w.rules.directed_rules()
     horizon = max((r.tail_start() for r, _ in rules), default=0)
     return m.depth >= horizon + 1 and all(r.tail is None or fact(r, d) for r, d in rules)
@@ -250,7 +250,7 @@ def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
 
 def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: float) -> Verdict:
     """Shared detector for the rootless chain-with-dead-branches structure."""
-    if m.has_true_root() if m.family is None else m.family.rooted():
+    if m.rooted():
         return _rooted_verdict(w, m)
 
     @functools.cache
@@ -498,41 +498,32 @@ def subnormal_on_T(
     exact = _zgod0_exact(w, measures, chex=False)
 
     lam1 = [_branch_weight(w, i, 1) for i in range(1, eta + 1)]
-
-    def s_neg(order: int) -> float:
-        return sum(c * c * moment(mu, -order) for c, mu in zip(lam1, measures))
-
     detail = {"extremal": False}
     if kappa == 0:
-        v = s_neg(1)
+        v = _neg_sum(lam1, measures, 1)
         if not _leq(v, 1.0, tol):
             return Verdict("no", True, witness={"condition": "consistency", "value": v})
         detail["extremal"] = _eq(v, 1.0, tol)
         return Verdict("yes", exact, detail=detail)
 
-    v = s_neg(1)
+    v = _neg_sum(lam1, measures, 1)
     if not _eq(v, 1.0, tol):
         return Verdict("no", True, witness={"condition": "strong consistency", "value": v})
 
-    ks = range(1, (int(kappa) - 1 if kappa != math.inf else K) + 1)
-    for k in ks:
-        prod = 1.0
-        for j in range(k):
-            prod *= _trunk_weight(w, j) ** 2
-        lhs, rhs = 1.0 / prod, s_neg(k + 1)
-        if not _eq(lhs, rhs, tol):
+    # trunk equalities for k < kappa (k <= K on an infinite trunk), then the
+    # final inequality at k = kappa; prod is the product of the first k
+    # squared trunk weights
+    prod = 1.0
+    for k in range(1, (K if kappa == math.inf else int(kappa)) + 1):
+        prod *= _trunk_weight(w, k - 1) ** 2
+        lhs, rhs = 1.0 / prod, _neg_sum(lam1, measures, k + 1)
+        if k != kappa and not _eq(lhs, rhs, tol):
             return Verdict(
                 "no", True,
                 witness={"condition": "trunk equality", "k": k, "lhs": lhs, "rhs": rhs},
             )
     if kappa == math.inf:
         return Verdict("yes", False, depth=K, detail=detail)
-
-    kappa = int(kappa)
-    prod = 1.0
-    for j in range(kappa):
-        prod *= _trunk_weight(w, j) ** 2
-    lhs, rhs = 1.0 / prod, s_neg(kappa + 1)
     if not _leq(rhs, lhs, tol):
         return Verdict(
             "no", True,
@@ -572,38 +563,32 @@ def chex_on_T(
     kappa = int(kappa)
     lam1 = [_branch_weight(w, i, 1) for i in range(1, eta + 1)]
     ssum = sum(c * c for c in lam1)
-
-    def s_neg(order: int) -> float:
-        return sum(c * c * moment(tau, -order) for c, tau in zip(lam1, taus))
-
     detail = {"extremal": False}
     if kappa == 0:
-        lhs, rhs = ssum, 1.0 + s_neg(1)
+        lhs, rhs = ssum, 1.0 + _neg_sum(lam1, taus, 1)
         if not _leq(rhs, lhs, tol):
             return Verdict("no", True, witness={"condition": "consistency", "lhs": lhs, "rhs": rhs})
         detail["extremal"] = _eq(lhs, rhs, tol)
         return Verdict("yes", exact, detail=detail)
 
-    if not _eq(ssum, 1.0 + s_neg(1), tol):
+    rhs = 1.0 + _neg_sum(lam1, taus, 1)
+    if not _eq(ssum, rhs, tol):
         return Verdict(
             "no", True,
-            witness={"condition": "strong consistency", "lhs": ssum, "rhs": 1.0 + s_neg(1)},
+            witness={"condition": "strong consistency", "lhs": ssum, "rhs": rhs},
         )
+    # trunk equalities for k < kappa, then the final inequality at k = kappa;
+    # prod is the product of the first k squared trunk weights
     prod = 1.0
-    for k in range(1, kappa):
-        prod *= _trunk_weight(w, k - 1) ** 2
+    for k in range(1, kappa + 1):
         lhs = _trunk_weight(w, k - 1) ** 2
-        rhs = 1.0 + prod * s_neg(k + 1)
-        if not _eq(lhs, rhs, tol):
+        prod *= lhs
+        rhs = 1.0 + prod * _neg_sum(lam1, taus, k + 1)
+        if k != kappa and not _eq(lhs, rhs, tol):
             return Verdict(
                 "no", True,
                 witness={"condition": "trunk equality", "k": k, "lhs": lhs, "rhs": rhs},
             )
-    prod_full = 1.0
-    for j in range(kappa):
-        prod_full *= _trunk_weight(w, j) ** 2
-    lhs = _trunk_weight(w, kappa - 1) ** 2
-    rhs = 1.0 + prod_full * s_neg(kappa + 1)
     if not _leq(rhs, lhs, tol):
         return Verdict(
             "no", True,

@@ -203,6 +203,10 @@ class AffineTail:
 
     breaks: tuple
 
+    def __post_init__(self):
+        if not self.breaks or any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
+            raise ValueError(f"affine tail breaks must be nonempty and strictly increasing: {list(self.breaks)}")
+
     def value(self, idx: int) -> float:
         if idx < self.breaks[0]:
             raise ValueError(f"index {idx} precedes first break")
@@ -255,11 +259,16 @@ class MomentRatioTail:
 class CaRatioTail:
     """value(j)**2 = a_{j-1}/a_{j-2} with a_n = 1 + integral of (1+...+s^(n-1)).
 
-    The ratios decrease to 1, so both extremes are exact; the step ratios
-    increase to 1, so the first one is the least.
+    For tau on [0,1] the ratios decrease to 1, so both extremes are exact;
+    the step ratios increase to 1, so the first one is the least.  An atom
+    above 1 (past the slack ``models.construct_chex`` allows) is refused.
     """
 
     tau: AtomicMeasure
+
+    def __post_init__(self):
+        if self.tau.support_max() > 1.0 + 1e-10:
+            raise ValueError(f"ca_ratio tail measure must live on [0,1]: atom at {self.tau.support_max()!r}")
 
     def _a(self, n: int) -> float:
         return ca_term(1.0, self.tau, n)
@@ -779,7 +788,7 @@ def norm(w: WeightSystem, m: Materialized) -> NormResult:
 
 def _norm(w: WeightSystem, m: Materialized, loc: LocalData) -> NormResult:
     best = float(loc.norms2.max(initial=0.0))
-    exact = not m.boundary_root and bool(m.arrays.complete.all())
+    exact = m.whole
     if w.rules is not None:
         s, exact = w.rules.norm2_sup()
         best = max(best, s)
@@ -845,8 +854,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     tail rules pin down the un-materialized part."""
     ar = m.arrays
     have_rules = w.rules is not None
-    fully_finite = (not m.boundary_root) and bool(ar.complete.all())
-    exact = fully_finite or have_rules
+    exact = m.whole or have_rules
 
     if have_rules and w.rules.every_vertex_branches:
         return FredholmData(
@@ -889,8 +897,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
         c = min(c_candidates) if c_candidates else math.inf
 
     is_f = c > 0.0 and b < math.inf
-    rooted = m.has_true_root() if m.family is None else m.family.rooted()
-    index = (a - b - 1 if rooted else a - b) if is_f else None
+    index = (a - b - 1 if m.rooted() else a - b) if is_f else None
     return FredholmData(a=a, b=b, c=c, is_fredholm=is_f, index=index, exact=True)
 
 

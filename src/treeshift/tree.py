@@ -122,9 +122,6 @@ class DirectedTree:
             raise UnknownVertexError(v)
         return self.parent.get(v)
 
-    def non_root_vertices(self) -> tuple:
-        return tuple(v for v in self.vertices if v != self.root)
-
     def edges(self) -> tuple:
         return tuple((self.parent[v], v) for v in self.vertices if v in self.parent)
 
@@ -136,10 +133,11 @@ class StructuralSets:
     vprime: frozenset
 
 
-def _build(vertices, parent) -> DirectedTree:
-    """The tree in canonical order: one sort of the vertices, and each
-    children tuple filled by walking that order, so it comes out sorted."""
-    order = tuple(sorted(vertices, key=vertex_key))
+def _build(order, parent) -> DirectedTree:
+    """The tree with its vertices in ``order``, which must be canonical (sorted
+    by :func:`vertex_key`); each children tuple is filled by walking that order,
+    so it comes out sorted too."""
+    order = tuple(order)
     children: dict = {v: [] for v in order}
     roots = []
     for v in order:
@@ -201,7 +199,7 @@ def validate(vertices: Iterable[str], edges: Iterable[tuple]) -> DirectedTree:
     outside = sum(1 for v in vs if root_of[v] != top)
     if outside:
         raise DisconnectedError(f"{outside} vertices unreachable")
-    return _build(vs, parent)
+    return _build(sorted(vs, key=vertex_key), parent)  # stable: input order breaks ties
 
 
 def descendants(t: DirectedTree, u: str, n: int) -> frozenset:
@@ -244,7 +242,7 @@ def tree_index(obj) -> int:
     if isinstance(obj, Materialized):
         if obj.family is not None:
             return tree_index(obj.family)
-        if obj.complete == frozenset(obj.tree.vertices) and not obj.boundary_root:
+        if obj.whole:
             return _finite_index(obj.tree)
         raise IndeterminateError("truncated tree without family structure")
     if isinstance(obj, DirectedTree):
@@ -264,10 +262,10 @@ def split_at(t: DirectedTree, u: str) -> tuple:
         x = stack.pop()
         des.add(x)
         stack.extend(t.children[x])
-    rest = set(t.vertices) - des
+    rest = [v for v in t.vertices if v not in des]
     if not rest:
         raise EmptyComplementError(f"descendants of {u!r} exhaust the tree")
-    sub = _build(des, {v: t.parent[v] for v in des if v != u})
+    sub = _build([v for v in t.vertices if v in des], {v: t.parent[v] for v in des if v != u})
     comp = _build(rest, {v: t.parent[v] for v in rest if v in t.parent})
     return sub, comp
 
@@ -318,8 +316,16 @@ class Materialized:
     def has_true_root(self) -> bool:
         return self.tree.root is not None and not self.boundary_root
 
-    def true_root(self) -> Optional[str]:
-        return self.tree.root if self.has_true_root() else None
+    def rooted(self) -> bool:
+        """Is the tree rooted?  The family's answer, or whether this prefix
+        has a true root."""
+        return self.has_true_root() if self.family is None else self.family.rooted()
+
+    @cached_property
+    def whole(self) -> bool:
+        """Is the prefix the whole tree: every vertex complete, and the root
+        the true root?"""
+        return not self.boundary_root and self.complete.issuperset(self.tree.vertices)
 
     def levels(self) -> dict:
         """Distance from the materialized root, per vertex."""
@@ -421,34 +427,7 @@ class TreeFamily:
     def materialize(self, depth: int) -> Materialized:
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.kind == "z_plus":
-            vs = [str(n) for n in range(depth + 1)]
-            parent = {str(n): str(n - 1) for n in range(1, depth + 1)}
-            complete = set(vs) - {str(depth)}
-            boundary = False
-        elif self.kind == "z":
-            vs = [str(n) for n in range(-depth, depth + 1)]
-            parent = {str(n): str(n - 1) for n in range(-depth + 1, depth + 1)}
-            complete = set(vs) - {str(depth)}
-            boundary = True
-        elif self.kind == "z_minus":
-            vs = [str(-k) for k in range(depth + 1)]
-            parent = {str(-k): str(-k - 1) for k in range(depth)}
-            complete = set(vs)  # "0" is a genuine leaf
-            boundary = True
-        elif self.kind == "t_eta_kappa":
-            trunk = min(self.kappa, depth)
-            trunk = int(trunk)
-            vs = [str(-k) for k in range(trunk + 1)]
-            parent = {str(-k): str(-k - 1) for k in range(trunk)}
-            for i in range(1, self.eta + 1):
-                for j in range(1, depth + 1):
-                    v = f"({i},{j})"
-                    vs.append(v)
-                    parent[v] = "0" if j == 1 else f"({i},{j - 1})"
-            complete = set(vs) - {f"({i},{depth})" for i in range(1, self.eta + 1)}
-            boundary = self.kappa > trunk
-        elif self.kind == "binary":
+        if self.kind == "binary":
             if depth > 16:
                 raise ValueError("binary family materialization capped at depth 16")
             vs = ["0"]
@@ -460,7 +439,7 @@ class TreeFamily:
                     parent[v] = "0" if i == 1 else f"({i - 1},{(j + 1) // 2})"
             complete = set(vs[: 2 ** depth - 1])  # levels 0 .. depth - 1, as generated
             boundary = False
-        else:  # custom
+        elif self.kind == "custom":
             vs = [self.custom_root]
             parent = {}
             frontier = [self.custom_root]
@@ -475,9 +454,25 @@ class TreeFamily:
                 frontier = nxt
             complete = set(vs) - set(frontier)
             boundary = False
-        t = _build(set(vs), parent)
+            # labels the generator chose: generation order breaks vertex_key ties
+            vs = sorted(dict.fromkeys(vs), key=vertex_key)
+        else:
+            # the integer chain lo..hi; for the broom, eta branches of pair ids off
+            # "0".  kappa is how far the chain runs below "0" in the whole tree.
+            kappa = {"z_plus": 0, "t_eta_kappa": self.kappa}.get(self.kind, math.inf)
+            lo, hi = -int(min(kappa, depth)), (depth if self.kind in ("z_plus", "z") else 0)
+            vs = [str(n) for n in range(lo, hi + 1)]
+            parent = dict(zip(vs[1:], vs))
+            tips = {vs[-1]} if hi > 0 else set()  # a top at "0" is complete
+            for i in range(1, (self.eta if self.kind == "t_eta_kappa" else 0) + 1):
+                branch = [f"({i},{j})" for j in range(1, depth + 1)]
+                parent.update(zip(branch, ["0"] + branch))
+                vs += branch
+                tips.add(branch[-1])
+            complete = set(vs) - tips
+            boundary = kappa > -lo  # the chain continues below lo
         return Materialized(
-            tree=t,
+            tree=_build(vs, parent),
             complete=frozenset(complete),
             boundary_root=boundary,
             family=self,

@@ -182,15 +182,63 @@ def assert_matches_reference_build(m):
     assert m.levels() == ref_levels(ref)
 
 
-FAMILIES = [ts.zplus(), ts.zline(), ts.zminus(), ts.broom(2, 0), ts.broom(3, 2), ts.broom(2, math.inf),
-            ts.binary(), tree.TreeFamily(kind="custom", generator=lambda u: [u + "a", u + "b"][: len(u) % 2 + 1],
-                                         custom_root="r")]
+FAMILIES = {
+    "z_plus": ts.zplus(), "z": ts.zline(), "z_minus": ts.zminus(),
+    "t_eta_kappa0": ts.broom(2, 0), "t_eta_kappa1": ts.broom(3, 2), "t_eta_kappa2": ts.broom(2, math.inf),
+    "binary": ts.binary(),
+    "custom": tree.TreeFamily(kind="custom", generator=lambda u: [u + "a", u + "b"][: len(u) % 2 + 1],
+                              custom_root="r"),
+    "z_eta3": tree.TreeFamily(kind="z", eta=3),  # a line family ignores its eta field
+    # children repeated, and in reverse canonical (and string) order
+    "custom_reversed": tree.TreeFamily(kind="custom",
+                                       generator=lambda u: [str(2 * int(u) + 2), str(2 * int(u) + 1)] * 2),
+}
+BUILT_IN = {k: f for k, f in FAMILIES.items() if f.kind != "custom"}
 
 
-@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+@pytest.mark.parametrize("fam", FAMILIES.values(), ids=FAMILIES.keys())
 def test_families_match_reference_build(fam):
     for depth in range(1, 7):
         assert_matches_reference_build(fam.materialize(depth))
+
+
+@pytest.mark.parametrize("fam", BUILT_IN.values(), ids=BUILT_IN.keys())
+def test_families_write_canonical_order(fam, monkeypatch):
+    # the built-in families emit their ids in canonical order: no id is read back
+    def refuse(v):
+        raise AssertionError(f"vertex_key({v!r}) called")
+    monkeypatch.setattr(tree, "vertex_key", refuse)
+    for depth in range(1, 7):
+        fam.materialize(depth).arrays
+
+
+def test_custom_ties_keep_generation_order():
+    # "1", "01" and "+1" share a sort key; the generator's order decides
+    fam = tree.TreeFamily(kind="custom", generator=lambda u: ["1", "+1", "01"] if u == "r" else [], custom_root="r")
+    assert fam.materialize(1).tree.vertices == ("1", "+1", "01", "r")
+
+
+def assert_split_matches_reference(t):
+    for u in t.vertices:
+        if u == t.root:
+            continue
+        sub, comp = tree.split_at(t, u)
+        assert sub.root == u
+        assert set(sub.vertices) | set(comp.vertices) == set(t.vertices)
+        for piece in (sub, comp):
+            vs = set(piece.vertices)
+            assert piece == ref_build(vs, {v: t.parent[v] for v in vs if v in t.parent and v != piece.root})
+
+
+@pytest.mark.parametrize("fam", FAMILIES.values(), ids=FAMILIES.keys())
+def test_split_pieces_match_reference_build(fam):
+    assert_split_matches_reference(fam.materialize(3).tree)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(explicit_prefixes())
+def test_explicit_split_pieces_match_reference_build(wm):
+    assert_split_matches_reference(wm[1].tree)
 
 
 def test_deep_broom_matches_reference_build():

@@ -356,6 +356,17 @@ BAD_INPUTS = {
     "one-measure-for-two-branches": (["classify", "t.json", "w.json", "--measures", "m.json"],
                                      {**BROOM_NO_TRUNK, "t.json": {**BROOM_NO_TRUNK["t.json"], "kappa": 0},
                                       "m.json": {"measures": TWO_DELTAS[:1]}}),
+    # a tau with an atom above 1 used to give a wrong norm marked exact
+    "ca-ratio-atom-above-1": (["norm", "t.json", "w.json"], {
+        "t.json": {"kind": "family", "family": "t_eta_kappa", "eta": 2, "kappa": 0, "depth": 6},
+        "w.json": {"tails": [{"branch": 1, "head": [0.1], "tail": {"kind": "ca_ratio", "atoms": [[2.0, 0.5]]}},
+                             {"branch": 2, "head": [0.1], "tail": {"kind": "constant", "value": 0.1}}]}}),
+    "affine-without-breaks": (["classify", "t.json", "w.json", "--depth", "4"],
+                              {"t.json": {"kind": "family", "family": "binary"},
+                               "w.json": {"mu": {"tail": {"kind": "affine", "breaks": []}}}}),
+    "affine-breaks-unsorted": (["classify", "t.json", "w.json", "--depth", "4"],
+                               {"t.json": {"kind": "family", "family": "binary"},
+                                "w.json": {"mu": {"tail": {"kind": "affine", "breaks": [3, 1]}}}}),
 }
 
 

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import classify, cli, shift
+from treeshift.measure import AtomicMeasure
 from treeshift.shift import (
     AffineTail,
     BinaryWeights,
     BranchRule,
     BroomWeights,
+    CaRatioTail,
     ChainWeights,
     ConstantTail,
     GeometricTail,
@@ -275,3 +277,15 @@ def test_unbounded_rules_skip_the_weight_sweep():
         BranchRule((1.0,), SequenceTail(fn, declared_sup=math.inf, exact=True), 1),
         BranchRule((1.0,), ConstantTail(1.0), 1))))
     assert shift.norm(w, ts.broom(2, 0).materialize(6)) == shift.NormResult(math.inf, True)
+
+
+# -- tails whose facts would not hold are refused -------------------------------
+
+
+def test_ca_ratio_tail_lives_on_the_unit_interval():
+    # with an atom at 2 the values rise towards sqrt(2), past the declared sup
+    with pytest.raises(ValueError, match="ca_ratio"):
+        CaRatioTail(AtomicMeasure.from_pairs([(2.0, 0.5)]))
+    # the slack models.construct_chex allows is kept
+    CaRatioTail(AtomicMeasure.from_pairs([(1.0 + 5e-11, 0.5)]))
+    CaRatioTail(AtomicMeasure.zero())
