@@ -33,7 +33,7 @@ from .shift import (
     power_norm_squared,
     vec_norm,
 )
-from .tree import Materialized, TreeFamily
+from .tree import Materialized, tree_structure
 
 __all__ = [
     "Verdict",
@@ -659,27 +659,16 @@ def paranormal_sample(
 
 
 def admissibility(obj) -> dict:
-    """Which classes the bare tree admits, independent of any weights."""
-    if isinstance(obj, Materialized):
-        fam = obj.family
-    elif isinstance(obj, TreeFamily):
-        fam = obj
-    else:
-        fam = None
+    """Which classes the bare tree admits, independent of any weights.
 
-    if fam is not None:
-        leafless = fam.leafless()
-        infinite = True
-        chain_like = fam.kind in ("z", "z_minus")
-        is_z = fam.kind == "z"
-    else:
-        t = obj.tree if isinstance(obj, Materialized) else obj
-        leafless = all(t.children[v] for v in t.vertices)
-        infinite = False  # explicit trees are finite
-        chain_like = False
-        is_z = False
-
-    injective_ok = leafless and infinite
+    Reads the tree's structure (:func:`tree.tree_structure`).  A leafless
+    tree is infinite; a rootless one with no branching vertex is Z (leafless)
+    or Z_- (one leaf).
+    """
+    s = tree_structure(obj)
+    injective_ok = s.leaves == 0
+    chain_like = not (s.rooted or s.branch_children or s.infinite_branching)
+    is_z = chain_like and injective_ok
     return {
         "hyponormal_nonzero": injective_ok,
         "subnormal_nonzero": injective_ok,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .measure import AtomicMeasure, ConditionViolated, NotProbabilityError, ca_sequence, moment
+from .measure import AtomicMeasure, ConditionViolated, NotProbabilityError, moment
 from .shift import (
     BranchRule,
     BroomWeights,
@@ -380,15 +380,12 @@ def backward_extension(mu: AtomicMeasure, k, flavor: str) -> bool:
 
 
 def classical_weights(mu: AtomicMeasure, flavor: str, upto: int) -> list:
-    """Weights alpha_1..alpha_upto of the one-branch classical shift."""
-    if flavor == "subnormal":
-        return [
-            math.sqrt(moment(mu, n) / moment(mu, n - 1)) for n in range(1, upto + 1)
-        ]
-    if flavor == "chex":
-        a = ca_sequence(1.0, mu, upto)
-        return [math.sqrt(a[n] / a[n - 1]) for n in range(1, upto + 1)]
-    raise ValueError(f"unknown flavor {flavor!r}")
+    """Weights alpha_1..alpha_upto of the one-branch classical shift: the
+    values from index 2 on of the tail a model branch carries."""
+    if flavor not in ("subnormal", "chex"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    tail = model_tail(mu, chex=flavor == "chex")
+    return [tail.value(i) for i in range(2, upto + 2)]
 
 
 def bridge_classical(measures: Sequence[AtomicMeasure], kappa, flavor: str) -> ModelResult:

@@ -173,7 +173,7 @@ def selfcommutator_check(tr: Truncation, p: float = 1.0, tol: float = 1e-10) -> 
     n2 = _norms_squared_from_matrix(tr)
     dpow = n2 ** p
     u = _partial_isometry(tr)
-    m = np.diag(dpow) - u @ np.diag(dpow) @ u.conj().T
+    m = np.diag(dpow) - (u * dpow) @ u.conj().T  # u * dpow is u @ diag(dpow)
     idx = sorted(tr.pos(v) for v in tr.interior)
     sub = m[np.ix_(idx, idx)]
     sub = (sub + sub.conj().T) / 2.0

@@ -663,6 +663,8 @@ def weights_from_json(d: dict, family: Optional[TreeFamily] = None) -> WeightSys
         neg = _rule_from_json(d["neg"], 0, "neg") if "neg" in d else None
         rules = ChainWeights(kind=family.kind, pos=pos, neg=neg)
     elif "mu" in d:
+        if family is None or family.kind != "binary":
+            raise ValueError("spine rules need the binary family")
         rules = BinaryWeights(
             spine=_rule_from_json(d["mu"], 1, "mu"),
             off_spine=float(d.get("off_spine", 1.0)),

@@ -28,12 +28,14 @@ __all__ = [
     "DirectedTree",
     "StructuralSets",
     "TreeFamily",
+    "FamilyStructure",
     "Materialized",
     "TreeArrays",
     "vertex_key",
     "validate",
     "descendants",
     "structural_sets",
+    "tree_structure",
     "tree_index",
     "split_at",
     "as_complete",
@@ -224,32 +226,32 @@ def structural_sets(t: DirectedTree) -> StructuralSets:
     )
 
 
-def _finite_index(t: DirectedTree) -> int:
-    s = structural_sets(t)
-    rooted = t.root is not None
-    total = len(s.leaves) + len(s.branching) - sum(
-        len(t.children[u]) for u in s.branching
-    )
-    return total - 1 if rooted else total
+def tree_structure(obj) -> "FamilyStructure":
+    """The structure of a :class:`TreeFamily`, of a family prefix, or of an
+    explicit :class:`DirectedTree` (or :class:`Materialized` prefix that is
+    the whole tree), derived from :func:`structural_sets`."""
+    if isinstance(obj, Materialized):
+        if obj.family is None and not obj.whole:
+            raise IndeterminateError("truncated tree without family structure")
+        obj = obj.family or obj.tree
+    if isinstance(obj, TreeFamily):
+        if obj.structure is None:
+            raise IndeterminateError("custom family lacks declared structure")
+        return obj.structure
+    if isinstance(obj, DirectedTree):
+        s = structural_sets(obj)
+        branch_children = tuple(len(obj.children[u]) for u in obj.vertices if u in s.branching)
+        return FamilyStructure(obj.root is not None, len(s.leaves), branch_children)
+    raise TypeError(f"no tree structure for {type(obj).__name__}")
 
 
 def tree_index(obj) -> int:
     """Index of a Fredholm directed tree (always <= 1).
 
-    Accepts an explicit :class:`DirectedTree` (taken as the whole tree), a
-    :class:`TreeFamily`, or a :class:`Materialized` family prefix.
+    Accepts what :func:`tree_structure` accepts; an explicit
+    :class:`DirectedTree` is taken as the whole tree.
     """
-    if isinstance(obj, Materialized):
-        if obj.family is not None:
-            return tree_index(obj.family)
-        if obj.whole:
-            return _finite_index(obj.tree)
-        raise IndeterminateError("truncated tree without family structure")
-    if isinstance(obj, DirectedTree):
-        return _finite_index(obj)
-    if isinstance(obj, TreeFamily):
-        return obj._index()
-    raise TypeError(f"cannot compute index of {type(obj).__name__}")
+    return tree_structure(obj).index()
 
 
 def split_at(t: DirectedTree, u: str) -> tuple:
@@ -385,12 +387,36 @@ def explicit_truncation(
 
 @dataclass(frozen=True)
 class FamilyStructure:
-    """Finitely-determined structural data a custom generator may declare."""
+    """What a tree's index and admissible classes depend on: whether it is
+    ``rooted``, its number of ``leaves`` and the child count of each branching
+    vertex.  A non-empty ``infinite_branching`` says that infinitely many
+    vertices branch, and how; it, or a vertex with infinitely many children
+    (``all_children_finite`` False), makes the tree not Fredholm."""
 
     rooted: bool
     leaves: int
     branch_children: tuple = ()
     all_children_finite: bool = True
+    infinite_branching: str = ""
+
+    def index(self) -> int:
+        """ind = #leaves + sum over branching u of (1 - #Chi(u)) - [rooted]."""
+        if self.infinite_branching:
+            raise NotFredholmError(self.infinite_branching)
+        if not self.all_children_finite:
+            raise NotFredholmError("a vertex has infinitely many children")
+        return self.leaves + sum(1 - c for c in self.branch_children) - int(self.rooted)
+
+
+# the structure each built-in kind declares; the broom's comes from eta and kappa
+_STRUCTURES = {
+    "z_plus": FamilyStructure(rooted=True, leaves=0),
+    "z": FamilyStructure(rooted=False, leaves=0),
+    "z_minus": FamilyStructure(rooted=False, leaves=1),
+    "binary": FamilyStructure(
+        rooted=True, leaves=0, infinite_branching="every vertex of the binary tree is branching"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -400,7 +426,9 @@ class TreeFamily:
     Kinds: ``z_plus``, ``z``, ``z_minus``, ``t_eta_kappa`` (broom: a trunk of
     length kappa feeding a branching vertex with eta infinite branches),
     ``binary`` (full binary tree, every vertex has two children) and
-    ``custom`` (explicit child generator).
+    ``custom`` (explicit child generator).  ``structure`` is the family's
+    :class:`FamilyStructure`: a custom family may declare one, and every other
+    kind derives its own (replacing any value passed in).
     """
 
     kind: str
@@ -416,10 +444,14 @@ class TreeFamily:
                 raise ValueError("eta must be a finite integer >= 2")
             if not (self.kappa == math.inf or (isinstance(self.kappa, int) and self.kappa >= 0)):
                 raise ValueError("kappa must be a nonnegative integer or inf")
+            # no leaves, one branching vertex with eta children
+            object.__setattr__(self, "structure", FamilyStructure(self.kappa != math.inf, 0, (self.eta,)))
         elif self.kind == "custom":
             if self.generator is None:
                 raise ValueError("custom family needs a generator")
-        elif self.kind not in ("z_plus", "z", "z_minus", "binary"):
+        elif self.kind in _STRUCTURES:
+            object.__setattr__(self, "structure", _STRUCTURES[self.kind])
+        else:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
     # -- materialization ------------------------------------------------
@@ -440,22 +472,21 @@ class TreeFamily:
             complete = set(vs[: 2 ** depth - 1])  # levels 0 .. depth - 1, as generated
             boundary = False
         elif self.kind == "custom":
-            vs = [self.custom_root]
-            parent = {}
-            frontier = [self.custom_root]
+            # expand each new vertex once; an edge to a vertex already seen is
+            # kept, so validate refuses a circuit or a second parent
+            vs, edges, frontier = {self.custom_root: None}, [], [self.custom_root]
             for _ in range(depth):
                 nxt = []
                 for u in frontier:
-                    for c in self.generator(u):
-                        c = str(c)
-                        vs.append(c)
-                        parent[c] = u
-                        nxt.append(c)
+                    for c in dict.fromkeys(str(c) for c in self.generator(u)):
+                        edges.append((u, c))
+                        if c not in vs:
+                            vs[c] = None
+                            nxt.append(c)
                 frontier = nxt
-            complete = set(vs) - set(frontier)
-            boundary = False
-            # labels the generator chose: generation order breaks vertex_key ties
-            vs = sorted(dict.fromkeys(vs), key=vertex_key)
+            return Materialized(  # validate sorts stably: generation order breaks ties
+                tree=validate(vs, edges), complete=frozenset(vs) - set(frontier), family=self, depth=depth
+            )
         else:
             # the integer chain lo..hi; for the broom, eta branches of pair ids off
             # "0".  kappa is how far the chain runs below "0" in the whole tree.
@@ -482,42 +513,11 @@ class TreeFamily:
     # -- structural data -------------------------------------------------
 
     def rooted(self) -> bool:
-        if self.kind in ("z_plus", "binary"):
-            return True
-        if self.kind in ("z", "z_minus"):
-            return False
-        if self.kind == "t_eta_kappa":
-            return self.kappa != math.inf
+        # a custom family that declares nothing grows down from its root
         return self.structure.rooted if self.structure else True
 
     def leafless(self) -> bool:
-        if self.kind == "z_minus":
-            return False
-        if self.kind == "custom":
-            if self.structure is None:
-                raise IndeterminateError("custom family lacks declared structure")
-            return self.structure.leaves == 0
-        return True
-
-    def _index(self) -> int:
-        if self.kind == "z_plus":
-            return -1
-        if self.kind == "z":
-            return 0
-        if self.kind == "z_minus":
-            return 1
-        if self.kind == "t_eta_kappa":
-            # one branching vertex with eta children, no leaves
-            return (1 - 1 - self.eta) if self.rooted() else (1 - self.eta)
-        if self.kind == "binary":
-            raise NotFredholmError("every vertex of the binary tree is branching")
-        st = self.structure
-        if st is None:
-            raise IndeterminateError("custom family lacks declared structure")
-        if not st.all_children_finite:
-            raise NotFredholmError("a vertex has infinitely many children")
-        total = st.leaves + len(st.branch_children) - sum(st.branch_children)
-        return total - 1 if st.rooted else total
+        return tree_structure(self).leaves == 0
 
 
 def zplus() -> TreeFamily:

@@ -336,6 +336,23 @@ def test_admissibility():
     )
 
 
+def test_admissibility_reads_the_declared_structure():
+    # rootless with no branching vertex: Z (leafless) or Z_- (one leaf), whatever the kind
+    for leaves in (0, 1):
+        fam = tree.TreeFamily(kind="custom", generator=lambda u: [], custom_root="r",
+                              structure=tree.FamilyStructure(rooted=False, leaves=leaves))
+        rep = classify.admissibility(fam)
+        assert rep["coisometric"] and rep["dense_range"]
+        assert rep["unitary"] == rep["normal_nonzero"] == rep["injective_nonzero"] == (leaves == 0)
+    branching = tree.FamilyStructure(rooted=False, leaves=0, branch_children=(2,))
+    rep = classify.admissibility(tree.TreeFamily(kind="custom", generator=lambda u: [], structure=branching))
+    assert rep["injective_nonzero"] and not rep["coisometric"]
+    # a truncated explicit prefix does not determine the structure
+    t = tree.validate(["a", "b"], [("a", "b")])
+    with pytest.raises(tree.IndeterminateError):
+        classify.admissibility(tree.explicit_truncation(t, ["b"]))
+
+
 def test_rooted_zero_prefix_with_a_nonzero_tail():
     # every prefix weight is 0, so the witness is a tail index
     m = ts.broom(2, 0).materialize(1)

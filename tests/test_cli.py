@@ -367,6 +367,10 @@ BAD_INPUTS = {
     "affine-breaks-unsorted": (["classify", "t.json", "w.json", "--depth", "4"],
                                {"t.json": {"kind": "family", "family": "binary"},
                                 "w.json": {"mu": {"tail": {"kind": "affine", "breaks": [3, 1]}}}}),
+    # spine rules on a broom used to give a wrong norm (2.83 for 2)
+    "spine-rules-on-a-broom": (["norm", "t.json", "w.json"], {
+        "t.json": {"kind": "family", "family": "t_eta_kappa", "eta": 2, "kappa": 0, "depth": 6},
+        "w.json": {"mu": {"head": [1.0], "tail": {"kind": "constant", "value": 1.0}}, "off_spine": 2.0}}),
 }
 
 

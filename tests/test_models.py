@@ -248,6 +248,16 @@ def test_bridge_classical():
             0,
             "subnormal",
         )
+
+
+def test_classical_weights_at_deep_indices():
+    # the moments underflow long before n = 1200; the ratios tend to the top atom
+    mu = AtomicMeasure.from_pairs([(0.3, 0.5), (0.45, 0.5)])
+    alphas = models.classical_weights(mu, "subnormal", 1200)
+    assert alphas[:3] == [math.sqrt(moment(mu, n) / moment(mu, n - 1)) for n in (1, 2, 3)]
+    assert alphas[-1] == pytest.approx(math.sqrt(0.45), rel=1e-12)
+    with pytest.raises(ValueError):
+        models.classical_weights(AtomicMeasure.delta(1.5), "chex", 5)
     with pytest.raises(models.ImpossibleError):
         models.bridge_classical([AtomicMeasure.delta(1.0)] * 2, 0, "chex")
 

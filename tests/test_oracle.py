@@ -70,6 +70,27 @@ def test_selfcommutator_examples():
         assert oracle.selfcommutator_check(tri, p=p).ok
 
 
+def test_selfcommutator_matches_the_explicit_diagonal_product():
+    # |S*|^2p = u diag(|S|^2p) u*, formed with the n x n diagonal: same bytes
+    def explicit(tr, p):
+        dpow = oracle._norms_squared_from_matrix(tr) ** p
+        u = oracle._partial_isometry(tr)
+        m = np.diag(dpow) - u @ np.diag(dpow) @ u.conj().T
+        idx = sorted(tr.pos(v) for v in tr.interior)
+        sub = m[np.ix_(idx, idx)]
+        return np.linalg.eigh((sub + sub.conj().T) / 2.0)[0][0]
+
+    rng = random.Random(3)
+    trees = [oracle.truncate(fam.materialize(8), 8, weights=w)
+             for fam, w in (hyponormal_two_branch(), p_separating(1.0, 0.5, 2.0))]
+    for _ in range(4):
+        t = random_tree(rng, rng.randint(20, 120))
+        trees.append(oracle.truncate(tree.as_complete(t), 1, weights=random_weights(rng, t, zeros=0.1)))
+    for tr in trees:
+        for p in (0.5, 1.0, 2.0):
+            assert oracle.selfcommutator_check(tr, p=p).min_eig == explicit(tr, p)
+
+
 def test_selfcommutator_agrees_with_classifier():
     rng = random.Random(17)
     agree = 0

@@ -207,3 +207,50 @@ def test_custom_family():
     m = fam.materialize(3)
     assert "rLR" in m.tree.children
     assert tree.tree_index(fam) == (0 + 7) - 1 - 14
+
+
+def test_custom_root_named_as_child_is_a_circuit():
+    fam = tree.TreeFamily(kind="custom", generator=lambda u: ["a"] if u == "r" else ["r"], custom_root="r")
+    with pytest.raises(tree.CircuitError):
+        fam.materialize(2)
+
+
+def test_custom_child_under_two_parents():
+    children = {"r": ["x", "y"], "x": ["y"]}
+    fam = tree.TreeFamily(kind="custom", generator=lambda u: children.get(u, []), custom_root="r")
+    with pytest.raises(tree.MultipleParentsError) as ei:
+        fam.materialize(2)
+    assert ei.value.vertex == "y"
+
+
+def test_custom_repeated_children_expand_once():
+    calls = []
+
+    def twice(u):
+        calls.append(u)
+        return [u + "0", u + "1"] * 2
+
+    m = tree.TreeFamily(kind="custom", generator=twice, custom_root="r").materialize(9)
+    assert len(m.tree.vertices) == 2 ** 10 - 1
+    assert sorted(calls) == sorted(m.complete) and len(calls) == 2 ** 9 - 1
+    assert all(len(m.tree.children[u]) == 2 for u in m.complete)
+
+
+def test_structure_gives_the_index_once():
+    # ind = #leaves + sum over branching u of (1 - #Chi(u)) - [rooted]
+    cases = [
+        (ts.zplus(), (True, 0, ())), (ts.zline(), (False, 0, ())), (ts.zminus(), (False, 1, ())),
+        (ts.broom(3, 2), (True, 0, (3,))), (ts.broom(4, math.inf), (False, 0, (4,))),
+    ]
+    for fam, (rooted, leaves, branch) in cases:
+        s = tree.tree_structure(fam)
+        assert (s.rooted, s.leaves, s.branch_children) == (rooted, leaves, branch)
+        assert fam.rooted() == rooted and fam.leafless() == (leaves == 0)
+        assert tree.tree_index(fam) == tree.tree_index(fam.materialize(3)) == leaves + sum(1 - c for c in branch) - rooted
+    t = tree.validate(list("rabcd"), [("r", "a"), ("r", "b"), ("r", "c"), ("a", "d")])
+    assert tree.tree_structure(t) == tree.FamilyStructure(rooted=True, leaves=3, branch_children=(3,))
+    assert tree.tree_index(t) == tree.tree_index(tree.as_complete(t)) == 3 + (1 - 3) - 1
+    with pytest.raises(tree.NotFredholmError, match="every vertex of the binary tree is branching"):
+        tree.tree_index(ts.binary())
+    with pytest.raises(tree.IndeterminateError):
+        tree.tree_index(tree.explicit_truncation(t, ["d"]))
