@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 REL_TOL = 1e-10
+MODEL_ORDERS = 12  # moments of each branch measure the model tests compare
 
 
 class MeasureMismatchError(ValueError):
@@ -134,10 +135,12 @@ TAIL_WALK = 10_000  # how far past its start a tail is searched for its first dr
 def _pinned(w: WeightSystem, m: Materialized, fact, finite: bool = False) -> bool:
     """Is a verdict read off the prefix exact?  With rules: when every head lies
     inside the complete region and ``fact(rule, direction)`` holds on every
-    tail.  Without: when ``finite`` is set and the prefix is a whole tree."""
-    if w.rules is None:
+    tail.  Without (:meth:`WeightSystem.rules_beyond`): when ``finite`` is set
+    and the prefix is a whole tree."""
+    rules = w.rules_beyond(m)
+    if rules is None:
         return finite and m.whole
-    rules = w.rules.directed_rules()
+    rules = rules.directed_rules()
     horizon = max((r.tail_start() for r, _ in rules), default=0)
     return m.depth >= horizon + 1 and all(r.tail is None or fact(r, d) for r, d in rules)
 
@@ -236,10 +239,13 @@ def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
     )
     if nz is not None:
         return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
-    nonzero = [] if w.rules is None else [
-        r for r, _ in w.rules.directed_rules() if r.tail is not None and r.tail.sup(r.tail_start())[0] != 0.0
+    rules = w.rules_beyond(m)
+    nonzero = [] if rules is None else [
+        r for r, _ in rules.directed_rules() if r.tail is not None and r.tail.sup(r.tail_start())[0] != 0.0
     ]
     if not nonzero:
+        if w.rules is not None and rules is None:  # a base weight past the prefix
+            return Verdict("yes", False, depth=m.depth or None, detail={"structure": "zero operator"})
         return Verdict("yes", True, detail={"structure": "zero operator"})
     for r in nonzero:
         j = _tail_walk(r, lambda a, b: b != 0.0)
@@ -385,7 +391,8 @@ def _hyponormal_core(w, m, p, tol) -> Verdict:
         return Verdict("no", True, witness={"vertex": m.tree.vertices[u], "lhs": float(total[u])})
 
     # on a chain, hyponormality is |lambda| nondecreasing along the shift
-    for r, d in () if w.rules is None else w.rules.directed_rules():
+    rules = w.rules_beyond(m)
+    for r, d in () if rules is None else rules.directed_rules():
         if d == 0 or r.tail is None:
             continue
         lo, exact = _least_step(r, d)
@@ -437,11 +444,11 @@ def _trunk_weight(w: WeightSystem, k: int) -> float:
         raise IncompleteTruncationError(str(-k), "no weight rule covers it") from None
 
 
-def _zgod0_check(w, fam, measures, chex: bool, orders: int, tol: float):
+def _zgod0_check(w, measures, chex: bool, tol: float):
     """Products of squared branch weights must reproduce the model sequence."""
     for i, mu in enumerate(measures, start=1):
         prod = 1.0
-        for n in range(1, orders + 1):
+        for n in range(1, MODEL_ORDERS + 1):
             prod *= _branch_weight(w, i, n + 1) ** 2
             if chex:
                 want = msr.ca_term(1.0, mu, n)
@@ -451,12 +458,13 @@ def _zgod0_check(w, fam, measures, chex: bool, orders: int, tol: float):
                 raise MeasureMismatchError(i, n, prod, want)
 
 
-def _zgod0_exact(w, measures, chex: bool) -> bool:
+def _zgod0_exact(w, m, measures, chex: bool) -> bool:
     """Is every branch tail the model's own, or of constant modulus where the
     model sequence is geometric?"""
-    if w.rules is None:
+    rules = w.rules_beyond(m)
+    if rules is None:
         return False
-    branches = [r for r, d in w.rules.directed_rules() if d > 0]
+    branches = [r for r, d in rules.directed_rules() if d > 0]
     if len(branches) != len(measures):
         return False
     for rule, mu in zip(branches, measures):
@@ -478,7 +486,6 @@ def subnormal_on_T(
     measures: Sequence[AtomicMeasure],
     K: int = 25,
     tol: float = REL_TOL,
-    orders: int = 12,
 ) -> Verdict:
     """Moment-model subnormality test on the broom with candidate measures.
 
@@ -494,8 +501,8 @@ def subnormal_on_T(
     for i, mu in enumerate(measures, start=1):
         if not mu.is_probability():
             raise NotProbabilityError(i, mu.total_mass())
-    _zgod0_check(w, fam, measures, chex=False, orders=orders, tol=tol)
-    exact = _zgod0_exact(w, measures, chex=False)
+    _zgod0_check(w, measures, chex=False, tol=tol)
+    exact = _zgod0_exact(w, m, measures, chex=False)
 
     lam1 = [_branch_weight(w, i, 1) for i in range(1, eta + 1)]
     detail = {"extremal": False}
@@ -538,7 +545,6 @@ def chex_on_T(
     m: Materialized,
     taus: Sequence[AtomicMeasure],
     tol: float = REL_TOL,
-    orders: int = 12,
 ) -> Verdict:
     """Alternating-model complete hyperexpansivity test on the broom.
 
@@ -558,8 +564,8 @@ def chex_on_T(
         return Verdict(iso.value, iso.exact, witness=iso.witness, depth=iso.depth,
                        detail={"reduction": "infinite trunk forces an isometry"})
 
-    _zgod0_check(w, fam, taus, chex=True, orders=orders, tol=tol)
-    exact = _zgod0_exact(w, taus, chex=True)
+    _zgod0_check(w, taus, chex=True, tol=tol)
+    exact = _zgod0_exact(w, m, taus, chex=True)
     kappa = int(kappa)
     lam1 = [_branch_weight(w, i, 1) for i in range(1, eta + 1)]
     ssum = sum(c * c for c in lam1)

@@ -127,9 +127,16 @@ def _load_tree(path: str, depth: int):
     return fam.materialize(depth), fam
 
 
-def _load_weights(path: str, fam):
+def _load_weights(path: str, m, fam):
+    """The weights in ``path``, read against the prefix ``m``: a ``base`` id
+    must be a non-root vertex of it."""
     with _reading(path) as d:
-        return shift.weights_from_json(d, fam)
+        w = shift.weights_from_json(d, fam)
+        outside = next((v for v in w.base if v not in m.tree.parent), None)
+        if outside is not None:
+            where = f"the prefix of depth {m.depth}" if fam is not None else "the tree"
+            raise ValueError(f"base id {outside!r} is not a non-root vertex of {where}")
+    return w
 
 
 def _load_measures(d) -> list:
@@ -169,7 +176,7 @@ def cmd_index(args) -> int:
 
 def cmd_norm(args) -> int:
     m, fam = _load_tree(args.tree, args.depth)
-    w = _load_weights(args.weights, fam)
+    w = _load_weights(args.weights, m, fam)
     r = shift.norm(w, m)
     _emit({"norm": r.value, "exact": r.exact})
     return 0
@@ -177,7 +184,7 @@ def cmd_norm(args) -> int:
 
 def cmd_powers(args) -> int:
     m, fam = _load_tree(args.tree, args.depth)
-    w = _load_weights(args.weights, fam)
+    w = _load_weights(args.weights, m, fam)
     try:
         vals = [
             shift.power_norm_squared(w, m, args.vertex, n)
@@ -194,7 +201,7 @@ def cmd_powers(args) -> int:
 
 def cmd_classify(args) -> int:
     m, fam = _load_tree(args.tree, args.depth)
-    w = _load_weights(args.weights, fam)
+    w = _load_weights(args.weights, m, fam)
     entries = {
         "isometry": cls.is_isometry(w, m, args.tol),
         "quasinormal": cls.is_quasinormal(w, m, args.tol),
@@ -235,24 +242,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_construct_subnormal(args) -> int:
+def cmd_construct(args) -> int:
+    """Build a model from a spec: eta, kappa, measures, and optionally the
+    first-level weights (under ``args.first``) and theta."""
     with _reading(args.spec) as spec:
         eta, kappa, ms = int(spec["eta"]), _parse_kappa(spec.get("kappa", 0)), _load_measures(spec)
-        lambda1, theta = _optional(spec.get("lambda1"), _floats), _optional(spec.get("theta"), float)
+        first, theta = _optional(spec.get(args.first), _floats), _optional(spec.get("theta"), float)
     try:
-        res = models.construct_subnormal(eta, kappa, ms, lambda1=lambda1, theta=theta)
-    except ValueError as e:  # the model's conditions refuse the spec
-        raise InputError(f"{type(e).__name__}: {e}")
-    _emit(res.to_json())
-    return 0
-
-
-def cmd_construct_chex(args) -> int:
-    with _reading(args.spec) as spec:
-        eta, kappa, ms = int(spec["eta"]), int(spec.get("kappa", 0)), _load_measures(spec)
-        t, theta = _optional(spec.get("t"), _floats), _optional(spec.get("theta"), float)
-    try:
-        res = models.construct_chex(eta, kappa, ms, t=t, theta=theta)
+        res = args.build(eta, kappa, ms, first, theta=theta)
     except ValueError as e:  # the model's conditions refuse the spec
         raise InputError(f"{type(e).__name__}: {e}")
     _emit(res.to_json())
@@ -273,7 +270,7 @@ def cmd_backward_extension(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     m, fam = _load_tree(args.tree, args.depth)
-    w = _load_weights(args.weights, fam)
+    w = _load_weights(args.weights, m, fam)
     tr = oracle.truncate(m, args.depth, weights=w)
     closed = shift.norm(w, m)
     brute = oracle.operator_norm(tr, tol=1e-8)
@@ -336,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct-subnormal", help="build a moment-model shift")
     p.add_argument("spec")
-    p.set_defaults(fn=cmd_construct_subnormal)
+    p.set_defaults(fn=cmd_construct, build=models.construct_subnormal, first="lambda1")
 
     p = sub.add_parser("construct-chex", help="build an alternating-model shift")
     p.add_argument("spec")
-    p.set_defaults(fn=cmd_construct_chex)
+    p.set_defaults(fn=cmd_construct, build=models.construct_chex, first="t")
 
     p = sub.add_parser("backward-extension", help="k-step backward extendibility")
     p.add_argument("measure")

@@ -127,18 +127,17 @@ def atoms_moment(atoms: Iterable[tuple], n: int) -> float:
 
 @dataclass(frozen=True)
 class MomentPrefix:
-    """A finite run t_offset ... t_{offset+N} of a real sequence."""
+    """A finite run t_0 ... t_N of a real sequence."""
 
     values: tuple
-    offset: int = 0
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise EmptyPrefixError("empty prefix")
 
     @staticmethod
-    def of(values: Sequence[float], offset: int = 0) -> "MomentPrefix":
-        return MomentPrefix(values=tuple(float(v) for v in values), offset=offset)
+    def of(values: Sequence[float]) -> "MomentPrefix":
+        return MomentPrefix(values=tuple(float(v) for v in values))
 
     @staticmethod
     def from_measure(m: AtomicMeasure, upto: int) -> "MomentPrefix":

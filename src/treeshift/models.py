@@ -118,8 +118,6 @@ def construct_subnormal(
     for i, mu in enumerate(measures, start=1):
         if not mu.is_probability(TOL):
             raise NotProbabilityError(i, mu.total_mass())
-        if not mu.atoms:
-            raise NotProbabilityError(i, 0.0)
     horizon = kappa + 1 if kappa != math.inf else 1
     if any(moment(mu, -int(horizon)) == math.inf for mu in measures):
         raise NoAdmissibleLambda1Error(

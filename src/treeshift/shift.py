@@ -440,7 +440,8 @@ def _num_to_json(v):
 
 def _num_from_json(x) -> complex:
     if isinstance(x, (list, tuple)):
-        return complex(float(x[0]), float(x[1]))
+        real, imag = x  # a list of another length is refused
+        return complex(float(real), float(imag))
     return complex(float(x))
 
 
@@ -450,6 +451,11 @@ def _num_from_json(x) -> complex:
 # index runs: 1 along the shift, -1 against it, 0 where its vertices branch.
 # ``norm2_sup`` is (sup of ||S e_u||^2 over the vertices the rules cover, exact).
 # ---------------------------------------------------------------------------
+
+
+def _starts_at(rule: Optional[BranchRule], first: int, what: str) -> None:
+    if rule is not None and rule.start < first:
+        raise ValueError(f"{what} rule starts at index {rule.start}; its first index is {first}")
 
 
 class _ChainRules:
@@ -469,35 +475,41 @@ class _ChainRules:
 class BroomWeights(_ChainRules):
     """Rules on the broom: trunk positions -k carry lambda_{-k} (k=0..kappa-1
     for a finite trunk, all k when the trunk is infinite); branch i carries
-    lambda_{i,j} for j >= 1."""
+    lambda_{i,j} for j >= 1.  A finite trunk's tail is read over the kappa
+    positions once, when the rules are built."""
 
     eta: int
     kappa: float
     branches: tuple  # eta BranchRules, index j starting at 1
     trunk: Optional[BranchRule] = None  # index k of lambda_{-k}, starting at 0
 
+    def __post_init__(self):
+        if len(self.branches) != self.eta or None in self.branches:
+            raise ValueError(f"a broom with eta={self.eta} takes one rule for each branch 1..{self.eta}")
+        for i, b in enumerate(self.branches, start=1):
+            _starts_at(b, 1, f"branch {i}")
+        t = self.trunk
+        if t is not None and self.kappa == 0:
+            raise ValueError("a broom with kappa=0 has no trunk: it takes no trunk rule")
+        _starts_at(t, 0, "trunk")
+        if t is not None and self.kappa != math.inf:
+            if t.tail_start() > self.kappa:
+                raise ValueError(f"the trunk head runs past the kappa={self.kappa} trunk positions")
+            if t.tail is not None:
+                head = tuple(t.value(k) for k in range(t.start, int(self.kappa)))
+                object.__setattr__(self, "trunk", BranchRule(head, None, t.start))
+
     def lookup(self, v: str):
         form, a, j = vertex_key(v)
-        if form == 1:
-            if not (1 <= a <= self.eta) or j < 1:
-                raise UnknownWeightError(v)
+        if form == 1 and 1 <= a <= self.eta:
             return self.branches[a - 1], j
-        if form != 0 or a > 0:
-            raise UnknownWeightError(v)
-        k = -a
-        if self.kappa != math.inf and k >= self.kappa:
-            raise UnknownWeightError(v)  # the root carries no weight
-        if self.trunk is None:
-            raise UnknownWeightError(v)
-        return self.trunk, k
+        if form == 0 and a <= 0 and self.trunk is not None:
+            return self.trunk, -a  # a finite trunk's rule has no value at its root, -kappa
+        raise UnknownWeightError(v)
 
     def directed_rules(self) -> tuple:
         out = tuple((b, 1) for b in self.branches)
-        t = self.trunk
-        if t is not None and t.tail is not None and self.kappa != math.inf:
-            # a finite trunk has kappa positions: a tail past them is read as head values
-            t = BranchRule(tuple(t.value(k) for k in range(t.start, int(self.kappa))), None, t.start)
-        return out if t is None else out + ((t, -1),)
+        return out if self.trunk is None else out + ((self.trunk, -1),)
 
     def to_json(self):
         out = {
@@ -506,6 +518,19 @@ class BroomWeights(_ChainRules):
         if self.trunk is not None:
             out["trunk"] = self.trunk.to_json()
         return out
+
+    @classmethod
+    def from_json(cls, d: dict, family: TreeFamily) -> "BroomWeights":
+        branches = [None] * family.eta
+        for item in d.get("tails", []):
+            b = int(item["branch"])
+            if not 1 <= b <= family.eta:
+                raise ValueError(f"branch {b}: a broom with eta={family.eta} has branches 1..{family.eta}")
+            if branches[b - 1] is not None:
+                raise ValueError(f"branch {b} has two rules")
+            branches[b - 1] = _rule_from_json(item, 1, f"branch {b}")
+        trunk = _rule_from_json(d["trunk"], 0, "trunk") if "trunk" in d else None
+        return cls(eta=family.eta, kappa=family.kappa, branches=tuple(branches), trunk=trunk)
 
 
 @dataclass(frozen=True)
@@ -517,19 +542,19 @@ class ChainWeights(_ChainRules):
     pos: Optional[BranchRule] = None
     neg: Optional[BranchRule] = None
 
+    def __post_init__(self):
+        for name, first in (("pos", 1), ("neg", 0)):
+            rule = getattr(self, name)
+            if rule is not None and name not in _RULE_KEYS.get(self.kind, (None, ()))[1]:
+                raise ValueError(f"{self.kind} takes no {name} rule")
+            _starts_at(rule, first, name)
+
     def lookup(self, v: str):
         form, n, _ = vertex_key(v)
-        if form != 0:
+        rule = (self.pos if n >= 1 else self.neg) if form == 0 else None
+        if rule is None:
             raise UnknownWeightError(v)
-        if n >= 1:
-            if self.kind == "z_minus" or self.pos is None:
-                raise UnknownWeightError(v)
-            return self.pos, n
-        if self.kind == "z_plus":
-            raise UnknownWeightError(v)  # 0 is the root
-        if self.neg is None:
-            raise UnknownWeightError(v)
-        return self.neg, -n
+        return rule, abs(n)
 
     def directed_rules(self) -> tuple:
         return tuple((r, d) for r, d in ((self.pos, 1), (self.neg, -1)) if r is not None)
@@ -542,13 +567,19 @@ class ChainWeights(_ChainRules):
             out["neg"] = self.neg.to_json()
         return out
 
+    @classmethod
+    def from_json(cls, d: dict, family: TreeFamily) -> "ChainWeights":
+        pos = _rule_from_json(d["pos"], 1, "pos") if "pos" in d else None
+        neg = _rule_from_json(d["neg"], 0, "neg") if "neg" in d else None
+        return cls(kind=family.kind, pos=pos, neg=neg)
+
 
 @dataclass(frozen=True)
 class BinaryWeights:
     """Rules on the full binary tree with a distinguished spine.
 
-    The spine vertices (i,1) carry ``spine.value(i)``; every other non-root
-    vertex carries the constant ``off_spine`` weight.
+    The spine vertices (i,1) carry ``spine.value(i)``, from i = 1 on; every
+    other non-root vertex carries the constant ``off_spine`` weight.
     """
 
     spine: BranchRule
@@ -558,6 +589,7 @@ class BinaryWeights:
 
     def __post_init__(self):
         _finite(self.off_spine, "off_spine")
+        _starts_at(self.spine, 1, "spine")
 
     def lookup(self, v: str):
         form, i, j = vertex_key(v)
@@ -594,6 +626,12 @@ class BinaryWeights:
     def to_json(self):
         return {"mu": self.spine.to_json(), "off_spine": self.off_spine}
 
+    @classmethod
+    def from_json(cls, d: dict, family: TreeFamily) -> "BinaryWeights":
+        if "mu" not in d:
+            raise ValueError("off_spine needs the spine rule mu")
+        return cls(spine=_rule_from_json(d["mu"], 1, "mu"), off_spine=float(d.get("off_spine", 1.0)))
+
 
 @dataclass(frozen=True)
 class WeightSystem:
@@ -614,6 +652,14 @@ class WeightSystem:
             return rule.value(idx)
         raise UnknownWeightError(v)
 
+    def rules_beyond(self, m: Materialized):
+        """The rules, as the answer for the tree beyond the prefix ``m``: None
+        without rules, or when some ``base`` id is not a non-root vertex of
+        ``m`` (no rule describes that weight, so answers stay at depth)."""
+        if self.rules is not None and all(v in m.tree.parent for v in self.base):
+            return self.rules
+        return None
+
     def with_base(self, extra: Mapping[str, complex]) -> "WeightSystem":
         merged = dict(self.base)
         merged.update(extra)
@@ -633,6 +679,8 @@ class WeightSystem:
 
 
 def _rule_from_json(item: dict, start: int, where: str) -> BranchRule:
+    if not isinstance(item, dict):
+        raise TypeError(f"{where}: a rule is a JSON object, not {item!r}")
     try:
         return BranchRule(
             head=tuple(_num_from_json(x) for x in item.get("head", [])),
@@ -643,33 +691,30 @@ def _rule_from_json(item: dict, start: int, where: str) -> BranchRule:
         raise ValueError(f"{where}: {e}") from None
 
 
+_RULE_KEYS = {
+    "t_eta_kappa": (BroomWeights, ("tails", "trunk")),
+    "z_plus": (ChainWeights, ("pos",)),
+    "z": (ChainWeights, ("pos", "neg")),
+    "z_minus": (ChainWeights, ("neg",)),
+    "binary": (BinaryWeights, ("mu", "off_spine")),
+}
+
+
 def weights_from_json(d: dict, family: Optional[TreeFamily] = None) -> WeightSystem:
-    base = {v: _num_from_json(x) for v, x in d.get("base", {}).items()}
-    rules = None
-    if "tails" in d or "trunk" in d:
-        if family is None or family.kind != "t_eta_kappa":
-            raise ValueError("branch tail rules need a broom family")
-        branches = [None] * family.eta
-        for item in d.get("tails", []):
-            branches[int(item["branch"]) - 1] = _rule_from_json(item, 1, f"branch {item['branch']}")
-        if any(b is None for b in branches):
-            raise ValueError("every branch 1..eta needs a rule")
-        trunk = _rule_from_json(d["trunk"], 0, "trunk") if "trunk" in d else None
-        rules = BroomWeights(eta=family.eta, kappa=family.kappa, branches=tuple(branches), trunk=trunk)
-    elif "pos" in d or "neg" in d:
-        if family is None or family.kind not in ("z_plus", "z", "z_minus"):
-            raise ValueError("chain rules need a line family")
-        pos = _rule_from_json(d["pos"], 1, "pos") if "pos" in d else None
-        neg = _rule_from_json(d["neg"], 0, "neg") if "neg" in d else None
-        rules = ChainWeights(kind=family.kind, pos=pos, neg=neg)
-    elif "mu" in d:
-        if family is None or family.kind != "binary":
-            raise ValueError("spine rules need the binary family")
-        rules = BinaryWeights(
-            spine=_rule_from_json(d["mu"], 1, "mu"),
-            off_spine=float(d.get("off_spine", 1.0)),
-        )
-    return WeightSystem(base=base, rules=rules)
+    """``base`` weights by vertex id, and the rule keys of the family's kind
+    (``_RULE_KEYS``), read by its rules class; any other key is refused."""
+    kind = family.kind if family is not None else "an explicit tree"
+    cls, keys = _RULE_KEYS.get(kind, (None, ()))
+    extra = sorted(set(d) - {"base", *keys, *(("rules_kind",) if cls else ())})
+    if extra:
+        raise ValueError(f"weights on {kind} take no key {extra[0]!r}")
+    if cls is not None and d.get("rules_kind", cls.__name__) != cls.__name__:
+        raise ValueError(f"rules_kind {d['rules_kind']!r}: weights on {kind} take {cls.__name__}")
+    base = d.get("base", {})
+    if not isinstance(base, dict):
+        raise TypeError(f"base maps vertex ids to weights, not {base!r}")
+    rules = cls.from_json(d, family) if any(k in d for k in keys) else None
+    return WeightSystem(base={v: _num_from_json(x) for v, x in base.items()}, rules=rules)
 
 
 # ---------------------------------------------------------------------------
@@ -783,16 +828,17 @@ def norm(w: WeightSystem, m: Materialized) -> NormResult:
     """sup_u ||S e_u||; exact when tails admit provable sups, else a lower
     bound at the materialization depth.  When the rules alone make the norm
     exactly infinite, no weight is resolved."""
-    if w.rules is not None and w.rules.norm2_sup() == (math.inf, True):
+    rules = w.rules_beyond(m)
+    if rules is not None and rules.norm2_sup() == (math.inf, True):
         return NormResult(value=math.inf, exact=True)
-    return _norm(w, m, local_data(w, m))
+    return _norm(rules, m, local_data(w, m))
 
 
-def _norm(w: WeightSystem, m: Materialized, loc: LocalData) -> NormResult:
+def _norm(rules, m: Materialized, loc: LocalData) -> NormResult:
     best = float(loc.norms2.max(initial=0.0))
     exact = m.whole
-    if w.rules is not None:
-        s, exact = w.rules.norm2_sup()
+    if rules is not None:
+        s, exact = rules.norm2_sup()
         best = max(best, s)
     return NormResult(value=math.sqrt(best), exact=exact)
 
@@ -853,12 +899,14 @@ class FredholmData:
 
 def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     """Kernel/cokernel counters and the index, promoted to exact when the
-    tail rules pin down the un-materialized part."""
+    tail rules pin down the un-materialized part.  A zero head weight counts
+    only once it lies inside the prefix: the depth must reach past the head."""
     ar = m.arrays
-    have_rules = w.rules is not None
+    rules = w.rules_beyond(m)
+    have_rules = rules is not None
     exact = m.whole or have_rules
 
-    if have_rules and w.rules.every_vertex_branches:
+    if have_rules and rules.every_vertex_branches:
         return FredholmData(
             a=0.0, b=math.inf, c=math.inf, is_fredholm=False, index=None,
             exact=True, reason="every vertex branches",
@@ -867,7 +915,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     tail_infs = []
     tails_cover = True
     if have_rules:
-        for rule, _ in w.rules.directed_rules():
+        for rule, _ in rules.directed_rules():
             if rule.tail is not None and rule.tail.sup(rule.tail_start()) == (0.0, True):
                 return FredholmData(
                     a=math.inf, b=math.inf, c=0.0, is_fredholm=False, index=None,
@@ -876,7 +924,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
             iv, ok = rule.inf_abs_nonzero()
             if iv is not None:
                 tail_infs.append(iv)
-            tails_cover = tails_cover and ok
+            tails_cover = tails_cover and ok and (0 not in rule.head or m.depth >= rule.tail_start() + 1)
         exact = exact and tails_cover
     if not exact:
         raise IndeterminateError(
@@ -1021,9 +1069,10 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
         depth = m.depth or 8
 
     loc = local_data(w, m)
-    binary = w.rules is not None and w.rules.every_vertex_branches
+    rules = w.rules_beyond(m)
+    binary = rules is not None and rules.every_vertex_branches
     if binary:
-        mods, norms2 = w.rules.level_envs(depth)
+        mods, norms2 = rules.level_envs(depth)
         fwd_vals = np.array([sum(l ** 2 / (1.0 + n2) for l, n2 in zip(ls, ns)) for ls, ns in zip(mods, norms2)])
         t_vals, hs_vals, tr_vals, diag_vals = _tu_quantities(np.array(mods), np.array(norms2))
         level, names = np.arange(len(mods)), [""] * len(mods)
@@ -1059,11 +1108,11 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
         "diag_sup": float(diag_vals.max()),
     }
 
-    nr = _norm(w, m, loc)
+    nr = _norm(rules, m, loc)
     if nr.exact and math.isfinite(nr.value):
         fwd_v = bwd_v = "holds"
     elif binary:
-        spine = w.rules.spine
+        spine = rules.spine
         lo, hi, ok = spine.tail.ratio_bounds(spine.tail_start())
         fwd_v = ("fails" if lo == 0.0 else "holds") if ok else "at-depth"
         bwd_v = ("fails" if hi == math.inf else "holds") if ok else "at-depth"

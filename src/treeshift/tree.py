@@ -390,21 +390,17 @@ class FamilyStructure:
     """What a tree's index and admissible classes depend on: whether it is
     ``rooted``, its number of ``leaves`` and the child count of each branching
     vertex.  A non-empty ``infinite_branching`` says that infinitely many
-    vertices branch, and how; it, or a vertex with infinitely many children
-    (``all_children_finite`` False), makes the tree not Fredholm."""
+    vertices branch, and how; it makes the tree not Fredholm."""
 
     rooted: bool
     leaves: int
     branch_children: tuple = ()
-    all_children_finite: bool = True
     infinite_branching: str = ""
 
     def index(self) -> int:
         """ind = #leaves + sum over branching u of (1 - #Chi(u)) - [rooted]."""
         if self.infinite_branching:
             raise NotFredholmError(self.infinite_branching)
-        if not self.all_children_finite:
-            raise NotFredholmError("a vertex has infinitely many children")
         return self.leaves + sum(1 - c for c in self.branch_children) - int(self.rooted)
 
 

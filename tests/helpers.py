@@ -343,7 +343,9 @@ def ref_fredholm_data(w, m):
                 vals.append(lo)
             if vals:
                 tail_infs.append(min(vals))
-            tails_cover = tails_cover and ok
+            # a zero head weight counts only at a depth past the head
+            zero_head_inside = all(v != 0 for v in rule.head) or ref_heads_covered([(rule, None)], m)
+            tails_cover = tails_cover and ok and zero_head_inside
         exact = exact and tails_cover
     a = sum(1 for s in norms2.values() if s == 0.0)
     b = 0

@@ -373,6 +373,40 @@ BAD_INPUTS = {
         "w.json": {"mu": {"head": [1.0], "tail": {"kind": "constant", "value": 1.0}}, "off_spine": 2.0}}),
 }
 
+# Weight rules for chains or vertices the tree lacks; each printed a wrong
+# norm marked exact, or the rule was dropped or ended in a traceback.
+ONE = {"kind": "constant", "value": 1.0}
+BROOM_0 = {"kind": "family", "family": "t_eta_kappa", "eta": 2, "kappa": 0, "depth": 6}
+TWO_TAILS = [{"branch": b, "tail": ONE} for b in (1, 2)]
+
+
+def _norm_case(t, w):
+    return ["norm", "t.json", "w.json"], {"t.json": t, "w.json": w}
+
+
+BAD_INPUTS.update({
+    "trunk-head-past-kappa": _norm_case({**BROOM_0, "kappa": 1}, {"tails": TWO_TAILS, "trunk": {"head": [1.0, 5.0]}}),
+    "trunk-rule-on-kappa-0": _norm_case(BROOM_0, {"tails": TWO_TAILS, "trunk": {"head": [3.0]}}),
+    "branch-starting-at-0": _norm_case(BROOM_0, {"tails": [{"branch": 1, "start": 0, "head": [9.0, 1.0], "tail": ONE},
+                                                           {"branch": 2, "tail": ONE}]}),
+    "neg-rule-on-z-plus": _norm_case({"kind": "family", "family": "z_plus", "depth": 6},
+                                     {"pos": {"tail": ONE}, "neg": {"head": [7.0]}}),
+    "pos-rule-on-z-minus": _norm_case({"kind": "family", "family": "z_minus", "depth": 6},
+                                      {"neg": {"tail": ONE}, "pos": {"head": [4.0]}}),
+    "base-id-past-the-prefix": _norm_case(BROOM_0, {"tails": TWO_TAILS, "base": {"(1,40)": 100.0}}),
+    "base-id-not-in-the-tree": _norm_case(BROOM_0, {"tails": TWO_TAILS, "base": {"(1,1)": 9.0, "nope": 3.0}}),
+    "rule-groups-of-other-families": _norm_case(BROOM_0, {"tails": TWO_TAILS, "mu": {"head": [5.0]},
+                                                          "pos": {"head": [7.0]}}),
+    "branch-0": _norm_case(BROOM_0, {"tails": [{"branch": 0, "tail": ONE}, {"branch": 1, "tail": ONE}]}),
+    "branch-eta-plus-1": _norm_case(BROOM_0, {"tails": TWO_TAILS + [{"branch": 3, "tail": ONE}]}),
+    "branch-twice": _norm_case(BROOM_0, {"tails": [{"branch": 1, "head": [5.0], "tail": ONE}] + TWO_TAILS}),
+    "unknown-weights-key": _norm_case(BROOM_0, {"tails": TWO_TAILS, "extra": 1}),
+    "rules-kind-of-another-family": _norm_case(BROOM_0, {"tails": TWO_TAILS, "rules_kind": "ChainWeights"}),
+    "off-spine-without-mu": _norm_case({"kind": "family", "family": "binary", "depth": 4}, {"off_spine": 2.0}),
+    "base-on-the-root": _norm_case({"kind": "explicit", "vertices": ["a", "b"], "edges": [["a", "b"]]},
+                                   {"base": {"a": 1.0, "b": 1.0}}),
+})
+
 
 @pytest.mark.parametrize("argv,files", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_malformed_input_exits_2(capsys, tmp_path, argv, files):
@@ -382,3 +416,15 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, files):
     assert code == 2
     err = json.loads(out)["error"]
     assert set(err) == {"kind", "message"}
+
+
+def test_base_id_inside_a_deeper_prefix(capsys, tmp_path):
+    tree = _write(tmp_path, "t.json", dict(BROOM_0, depth=50))
+    weights = _write(tmp_path, "w.json", {"tails": TWO_TAILS, "base": {"(1,40)": 100.0}})
+    assert _run(capsys, ["norm", tree, weights, "--depth", "50"]) == (0, '{"exact": true, "norm": 100.0}\n')
+
+
+def test_construct_chex_reads_kappa_as_subnormal_does(capsys, tmp_path):
+    spec = _write(tmp_path, "s.json", {"eta": 2, "kappa": "inf", "measures": TWO_DELTAS})
+    code, out = _run(capsys, ["construct-chex", spec])
+    assert code == 2 and "an infinite trunk admits only isometries" in json.loads(out)["error"]["message"]

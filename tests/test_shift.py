@@ -429,3 +429,127 @@ def test_id_of_the_wrong_form_has_no_weight():
     for rules, v in ((line, "(1,2)"), (broom, "x"), (BinaryWeights(one), "3")):
         with pytest.raises(UnknownWeightError):
             WeightSystem(rules=rules).weight(v)
+
+
+# -- rules checked against their family when built ------------------------------
+
+ONE = BranchRule((), ConstantTail(1.0), 1)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: BroomWeights(2, 0, (ONE,)), "one rule for each branch 1..2"),
+    (lambda: BroomWeights(2, 0, (ONE, None)), "one rule for each branch 1..2"),
+    (lambda: BroomWeights(2, 0, (ONE, BranchRule((9.0, 1.0), ConstantTail(1.0), 0))), "branch 2 rule starts at index 0"),
+    (lambda: BroomWeights(2, 0, (ONE, ONE), BranchRule((3.0,), None, 0)), "kappa=0 has no trunk"),
+    (lambda: BroomWeights(2, 1, (ONE, ONE), BranchRule((1.0, 5.0), None, 0)), "runs past the kappa=1"),
+    (lambda: BroomWeights(2, math.inf, (ONE, ONE), BranchRule((1.0,), None, -1)), "trunk rule starts at index -1"),
+    (lambda: ChainWeights("z_plus", pos=ONE, neg=BranchRule((7.0,), None, 0)), "z_plus takes no neg"),
+    (lambda: ChainWeights("z_minus", pos=BranchRule((4.0,), None, 1)), "z_minus takes no pos"),
+    (lambda: ChainWeights("z", pos=BranchRule((4.0,), ConstantTail(1.0), 0)), "pos rule starts at index 0"),
+    (lambda: ChainWeights("z", neg=BranchRule((4.0,), ConstantTail(1.0), -1)), "neg rule starts at index -1"),
+    (lambda: ChainWeights("binary", pos=ONE), "binary takes no pos rule"),
+    (lambda: BinaryWeights(BranchRule((2.0,), ConstantTail(1.0), 0)), "spine rule starts at index 0"),
+])
+def test_rules_refuse_chains_their_family_lacks(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_finite_trunk_tail_is_read_once():
+    # a finite trunk has kappa positions: its tail is read over them when built
+    w = BroomWeights(2, 3, (ONE, ONE), BranchRule((1.0,), GeometricTail(1.0, 0.5), 0))
+    assert w.trunk == BranchRule((1.0, 0.5, 0.25), None, 0)
+    assert w.directed_rules()[-1][0] is w.trunk
+    w0 = BroomWeights(2, 1, (ONE, ONE), BranchRule((2.0,), ConstantTail(5.0), 0))
+    assert w0.trunk == BranchRule((2.0,), None, 0) and w0.norm2_sup() == (4.0, True)
+
+
+def test_chain_rule_is_picked_by_the_sign_of_the_id():
+    pos, neg = BranchRule((2.0,), ConstantTail(1.0), 1), BranchRule((3.0,), ConstantTail(1.0), 0)
+    z = ChainWeights("z", pos=pos, neg=neg)
+    assert z.lookup("1") == (pos, 1) and z.lookup("0") == (neg, 0) and z.lookup("-4") == (neg, 4)
+    with pytest.raises(UnknownWeightError):
+        WeightSystem(rules=ChainWeights("z_plus", pos=pos)).weight("0")  # the root
+    with pytest.raises(UnknownWeightError):
+        WeightSystem(rules=ChainWeights("z_minus", neg=neg)).weight("1")
+
+
+def test_base_past_the_prefix_is_answered_at_depth():
+    fam = ts.broom(2, 0)
+    w = WeightSystem(base={"(1,40)": 100.0}, rules=BroomWeights(2, 0, (ONE, ONE)))
+    shallow, deep = fam.materialize(6), fam.materialize(50)
+    assert w.rules_beyond(shallow) is None and w.rules_beyond(deep) is w.rules
+    assert shift.norm(w, shallow) == shift.NormResult(math.sqrt(2.0), False)
+    assert shift.norm(w, deep) == shift.NormResult(100.0, True)
+    with pytest.raises(tree.IndeterminateError):
+        shift.fredholm_data(w, shallow)
+    assert not shift.domain_inclusion_criteria(w, shallow).fwd.exact
+    assert shift.fredholm_data(w, deep).exact
+
+
+def test_fredholm_zero_head_past_the_prefix():
+    w = WeightSystem(rules=BroomWeights(2, 0, (BranchRule((1.0, 1.0, 0.0), ConstantTail(1.0), 1),
+                                              BranchRule((1.0,), ConstantTail(1.0), 1))))
+    for depth in (2, 3):  # the zero weight at (1,3) needs depth 5 = tail start + 1
+        with pytest.raises(tree.IndeterminateError):
+            shift.fredholm_data(w, ts.broom(2, 0).materialize(depth))
+    for depth in (5, 8):
+        fd = shift.fredholm_data(w, ts.broom(2, 0).materialize(depth))
+        assert (fd.a, fd.b, fd.exact) == (1, 2, True)
+
+
+TAIL_KINDS = {
+    "constant": ConstantTail(0.75),
+    "power": GeometricTail(0.5, 1.25),
+    "factorial": FactorialTail(0.25),
+    "affine": AffineTail((2, 3, 5, 8)),
+    "moment_ratio": shift.MomentRatioTail(ts.AtomicMeasure.from_pairs([(0.5, 0.25), (1.5, 0.75)])),
+    "ca_ratio": shift.CaRatioTail(ts.AtomicMeasure.from_pairs([(0.5, 0.4)])),
+}
+
+
+@pytest.mark.parametrize("fam,rules", [
+    (ts.zplus(), ChainWeights("z_plus", pos=BranchRule((2.0,), ConstantTail(1.0), 1))),
+    (ts.zline(), ChainWeights("z", pos=BranchRule((), GeometricTail(1.0, 0.5), 1),
+                              neg=BranchRule(((0.5 + 0.5j), 1.0), ConstantTail(1.0), 0))),
+    (ts.zminus(), ChainWeights("z_minus", neg=BranchRule((0.5,), FactorialTail(1.0), 0))),
+    (ts.binary(), BinaryWeights(BranchRule((1.5,), AffineTail((2, 4, 7)), 1), off_spine=0.5)),
+    (ts.broom(2, math.inf), BroomWeights(2, math.inf, (ONE, ONE), BranchRule(
+        (), shift.TrunkMomentRatioTail((0.5, 0.5), (ts.AtomicMeasure.delta(1.0),) * 2), 0))),
+] + [
+    (ts.broom(2, 1), BroomWeights(2, 1, (BranchRule((1.0,), tail, 1), ONE), BranchRule((0.5,), None, 0)))
+    for tail in TAIL_KINDS.values()
+], ids=["z_plus", "z", "z_minus", "binary", "trunk_moment_ratio"] + list(TAIL_KINDS))
+def test_rules_json_round_trip(fam, rules):
+    m = fam.materialize(5)
+    w = WeightSystem(base={next(iter(m.tree.parent)): 2.5}, rules=rules)
+    back = weights_from_json(w.to_json(), fam)
+    assert back == w
+    assert [back.weight(v) for v in m.tree.parent] == [w.weight(v) for v in m.tree.parent]
+
+
+@pytest.mark.parametrize("d,match", [
+    ({"tails": [], "mu": {"head": [5.0]}}, "take no key 'mu'"),
+    ({"extra": 1}, "take no key 'extra'"),
+    ({"rules_kind": "ChainWeights"}, "rules_kind 'ChainWeights'"),
+    ({"tails": [{"branch": 0, "tail": {"kind": "constant", "value": 1.0}}]}, "branch 0"),
+    ({"tails": [{"branch": b, "tail": {"kind": "constant", "value": 1.0}} for b in (1, 2, 3)]}, "branch 3"),
+    ({"tails": [{"branch": b, "tail": {"kind": "constant", "value": 1.0}} for b in (1, 1, 2)]}, "branch 1 has two"),
+    ({"tails": [{"branch": 2, "tail": {"kind": "constant", "value": 1.0}}]}, "one rule for each branch 1..2"),
+    ({"base": [1.0]}, "base maps vertex ids"),
+    ({"tails": [{"branch": b, "tail": {"kind": "constant", "value": 1.0}} for b in (1, 2)], "trunk": [1.0]},
+     "trunk: a rule is a JSON object"),
+])
+def test_broom_reader_refuses(d, match):
+    with pytest.raises((ValueError, TypeError), match=match):
+        weights_from_json(d, ts.broom(2, 1))
+
+
+def test_readers_take_their_family_keys_only():
+    with pytest.raises(ValueError, match="off_spine needs the spine rule mu"):
+        weights_from_json({"off_spine": 2.0}, ts.binary())
+    with pytest.raises(ValueError, match="take no key 'pos'"):
+        weights_from_json({"pos": {"head": [1.0]}})  # an explicit tree takes base only
+    with pytest.raises(ValueError, match="take no key 'rules_kind'"):
+        weights_from_json({"rules_kind": "BroomWeights"})
+    assert weights_from_json({"base": {"1": 1.0}, "rules_kind": "ChainWeights"}, ts.zplus()).rules is None
