@@ -26,6 +26,8 @@ from .measure import (
 )
 from .models import _neg_sum, model_tail
 from .shift import (
+    BranchRule,
+    BroomWeights,
     IncompleteTruncationError,
     WeightSystem,
     apply,
@@ -230,16 +232,35 @@ def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Ve
     return Verdict("yes", exact, depth=m.depth or None, detail=detail)
 
 
+def _first_nonzero(w: WeightSystem, m: Materialized) -> Optional[str]:
+    """The lowest id with a nonzero weight.  The fill is read as it is
+    written (:meth:`WeightSystem.fill_steps`), so no run past the one that
+    holds that weight is evaluated; a position the fill leaves NaN is read
+    through ``w.weight`` when the scan meets it."""
+    names, nonroot = m.tree.vertices, m.arrays.parent >= 0
+    lo = 0
+    for out, hi in w.fill_steps(m):
+        for p in (lo + np.flatnonzero(nonroot[lo:hi] & (out[lo:hi] != 0.0))).tolist():  # NaN != 0
+            if not math.isnan(out[p]) or abs(w.weight(names[p])) != 0.0:
+                return names[p]
+        lo = hi
+    return None
+
+
 def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
     """A rooted shift is normal or cohyponormal only when it is zero: the
-    first nonzero weight of the prefix, else of a tail, is the witness."""
-    nz = next(
-        (v for v in m.tree.vertices if m.tree.parent.get(v) is not None and abs(w.weight(v)) != 0.0),
-        None,
-    )
+    first nonzero weight of the prefix, else of a head past the prefix,
+    else of a tail, is the witness."""
+    nz = _first_nonzero(w, m)
     if nz is not None:
         return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
     rules = w.rules_beyond(m)
+    for run in () if rules is None else rules.runs(m):
+        r = run.rule
+        heads = range(run.stop, min(r.tail_start(), run.end)) if run.beyond() else ()
+        j = next((j for j in heads if abs(r.value(j)) != 0.0), None)
+        if j is not None:
+            return Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
     nonzero = [] if rules is None else [
         r for r, _ in rules.directed_rules() if r.tail is not None and r.tail.sup(r.tail_start())[0] != 0.0
     ]
@@ -430,18 +451,26 @@ def _broom_data(w: WeightSystem, m: Materialized):
     return fam
 
 
+def _rule_weight(w: WeightSystem, rule: Optional[BranchRule], idx: int, v: str) -> float:
+    """|lambda_v|, where ``v`` is index ``idx`` of the broom's ``rule``: a
+    ``base`` weight first, as :meth:`WeightSystem.weight` reads it."""
+    if v in w.base:
+        return abs(w.base[v])
+    if rule is not None:
+        try:
+            return abs(rule.value(idx))
+        except KeyError:
+            pass
+    raise IncompleteTruncationError(v, "no weight rule covers it")
+
+
 def _branch_weight(w: WeightSystem, i: int, j: int) -> float:
-    try:
-        return abs(w.weight(f"({i},{j})"))
-    except KeyError:
-        raise IncompleteTruncationError(f"({i},{j})", "no weight rule covers it") from None
+    branches = w.rules.branches if isinstance(w.rules, BroomWeights) else ()
+    return _rule_weight(w, branches[i - 1] if i <= len(branches) else None, j, f"({i},{j})")
 
 
 def _trunk_weight(w: WeightSystem, k: int) -> float:
-    try:
-        return abs(w.weight(str(-k)))
-    except KeyError:
-        raise IncompleteTruncationError(str(-k), "no weight rule covers it") from None
+    return _rule_weight(w, w.rules.trunk if isinstance(w.rules, BroomWeights) else None, k, str(-k))
 
 
 def _zgod0_check(w, measures, chex: bool, tol: float):

@@ -9,12 +9,13 @@ prefix and refuse to answer when the truncation cannot support the question.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .measure import AtomicMeasure, atoms_moment, ca_term
+from .measure import AtomicMeasure, atoms_moment, ca_sequence, ca_term
 from .tree import IndeterminateError, Materialized, TreeFamily, UnknownVertexError, vertex_key
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "SequenceTail",
     "TrunkMomentRatioTail",
     "BranchRule",
+    "Run",
     "BroomWeights",
     "ChainWeights",
     "BinaryWeights",
@@ -75,6 +77,14 @@ def _finite(x, what: str) -> None:
         raise NonFiniteWeightError(f"{what} is not finite: {x!r}")
 
 
+def _moment_sum(terms, n: int, scale: float = 1.0) -> float:
+    """sum c*moment(mu, n) over the (c, mu) terms, with the points divided
+    by scale (p / 1.0 is p, so scale 1.0 reads the atoms as they are)."""
+    if scale == 1.0:
+        return sum([c * atoms_moment(mu.atoms, n) for c, mu in terms])
+    return sum([c * atoms_moment([(p / scale, m) for p, m in mu.atoms], n) for c, mu in terms])
+
+
 def _pivot_ratio(terms, hi: int, lo: int, pivot: float) -> float:
     """sum c*moment(mu, hi) / sum c*moment(mu, lo) over the (c, mu) terms.
 
@@ -84,9 +94,7 @@ def _pivot_ratio(terms, hi: int, lo: int, pivot: float) -> float:
     mass, and every other atom at most that.
     """
     def quotient(scale):
-        def s(n):
-            return sum(c * atoms_moment(((p / scale, m) for p, m in mu.atoms), n) for c, mu in terms)
-        return s(hi) / s(lo)
+        return _moment_sum(terms, hi, scale) / _moment_sum(terms, lo, scale)
 
     try:
         r = quotient(1.0)  # p / 1.0 is p: the plain quotient
@@ -99,9 +107,30 @@ def _pivot_ratio(terms, hi: int, lo: int, pivot: float) -> float:
     return pivot ** (hi - lo) * quotient(pivot)
 
 
+def _pivot_ratios(terms, lows, pivot: float) -> list:
+    """[_pivot_ratio(terms, n + 1, n, pivot) for n in lows], the same floats,
+    with each plain moment sum taken once; a quotient that needs the pivot
+    is left to :func:`_pivot_ratio`."""
+    sums = {}
+    for n in sorted({*lows, *(n + 1 for n in lows)}):
+        try:
+            sums[n] = _moment_sum(terms, n)
+        except (ZeroDivisionError, OverflowError):
+            sums[n] = None
+    out = []
+    for n in lows:
+        a, b = sums[n + 1], sums[n]
+        r = a / b if a is not None and b else math.nan
+        out.append(r if r != 0.0 and math.isfinite(r) else _pivot_ratio(terms, n + 1, n, pivot))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Tail rules: closed-form weight generators for the un-materialized part.
-# Each tail declares its facts about the moduli |value(i)|, i >= start, once:
+# ``values(start, stop)`` is [value(i) for i in range(start, stop)], the same
+# numbers bit for bit (and the same error where value raises), computed once
+# for the run.  Each tail declares its facts about the moduli |value(i)|,
+# i >= start, once:
 # ``sup`` and ``inf`` as (bound, exact) and ``ratio_bounds`` as (lo, hi, exact)
 # with lo <= |value(i+1)| / |value(i)| <= hi (0/0 reads as 1); exact bounds
 # are the sup and inf themselves.  Every verdict beyond a prefix reads these.
@@ -117,6 +146,9 @@ class ConstantTail:
 
     def value(self, idx: int) -> float:
         return self.value_
+
+    def values(self, start: int, stop: int) -> list:
+        return [self.value_] * (stop - start)
 
     def sup(self, start: int):
         return abs(self.value_), True
@@ -144,6 +176,10 @@ class GeometricTail:
 
     def value(self, idx: int) -> float:
         return self.scale * self.ratio ** idx
+
+    def values(self, start: int, stop: int) -> list:
+        # Python's pow, as value takes it: numpy's power may differ in the last bit
+        return [self.scale * self.ratio ** i for i in range(start, stop)]
 
     def sup(self, start: int):
         if abs(self.ratio) <= 1.0 or self.scale == 0.0:
@@ -176,6 +212,16 @@ class FactorialTail:
 
     def value(self, idx: int) -> float:
         return self.scale * math.factorial(idx)
+
+    def values(self, start: int, stop: int) -> list:
+        if start >= stop:
+            return []
+        f = math.factorial(start)  # a running integer product: i! exactly
+        out = [self.scale * f]
+        for i in range(start + 1, stop):
+            f *= i
+            out.append(self.scale * f)
+        return out
 
     def sup(self, start: int):
         return (math.inf if self.scale else 0.0), True
@@ -213,6 +259,18 @@ class AffineTail:
         k = max(b for b in self.breaks if b <= idx)
         return float(idx + 1 - k)
 
+    def values(self, start: int, stop: int) -> list:
+        if start >= stop:
+            return []
+        self.value(start)  # refuses an index before the first break
+        b, out = self.breaks, []
+        n = bisect_right(b, start) - 1  # the last break at or below start
+        while start < stop:
+            end = min(b[n + 1], stop) if n + 1 < len(b) else stop
+            out += [float(i + 1 - b[n]) for i in range(start, end)]
+            start, n = end, n + 1
+        return out
+
     def sup(self, start: int):
         return math.inf, True
 
@@ -241,6 +299,10 @@ class MomentRatioTail:
     def value(self, idx: int) -> float:
         mu = self.measure
         return math.sqrt(_pivot_ratio([(1.0, mu)], idx - 1, idx - 2, mu.support_max()))
+
+    def values(self, start: int, stop: int) -> list:
+        mu = self.measure
+        return [math.sqrt(r) for r in _pivot_ratios([(1.0, mu)], range(start - 2, stop - 2), mu.support_max())]
 
     def sup(self, start: int):
         return math.sqrt(self.measure.support_max()), True
@@ -276,6 +338,10 @@ class CaRatioTail:
     def value(self, idx: int) -> float:
         return math.sqrt(self._a(idx - 1) / self._a(idx - 2))
 
+    def values(self, start: int, stop: int) -> list:
+        a = ca_sequence(1.0, self.tau, max(stop - 2, 0))  # a_n for n <= 0 is a_0
+        return [math.sqrt(a[max(j - 1, 0)] / a[max(j - 2, 0)]) for j in range(start, stop)]
+
     def sup(self, start: int):
         return self.value(start), True
 
@@ -306,10 +372,17 @@ class TrunkMomentRatioTail:
         for i, c in enumerate(self.lambda1):
             _finite(c, f"trunk lambda1[{i}]")
 
-    def value(self, idx: int) -> float:
+    def _terms(self):
         terms = [(c ** 2, mu) for c, mu in zip(self.lambda1, self.measures)]
-        low = min((mu.support_min() for c, mu in terms if c and mu.atoms), default=0.0)
+        return terms, min((mu.support_min() for c, mu in terms if c and mu.atoms), default=0.0)
+
+    def value(self, idx: int) -> float:
+        terms, low = self._terms()
         return math.sqrt(_pivot_ratio(terms, -(idx + 1), -(idx + 2), low))
+
+    def values(self, start: int, stop: int) -> list:
+        terms, low = self._terms()
+        return [math.sqrt(r) for r in _pivot_ratios(terms, range(-(start + 2), -(stop + 2), -1), low)]
 
     def sup(self, start: int):
         return self.value(start), True
@@ -341,6 +414,9 @@ class SequenceTail:
 
     def value(self, idx: int) -> float:
         return self.fn(idx)
+
+    def values(self, start: int, stop: int) -> list:
+        return [self.fn(i) for i in range(start, stop)]
 
     def sup(self, start: int):
         return self.declared_sup, self.exact
@@ -405,14 +481,31 @@ class BranchRule:
             raise UnknownWeightError(idx)
         return self.tail.value(idx)
 
+    def values(self, start: int, stop: int) -> list:
+        """[self.value(i) for i in range(start, stop)]: the head's entries,
+        then the tail's values."""
+        if start >= stop:
+            return []
+        if start < self.start:
+            raise UnknownWeightError(start)
+        ts = self.tail_start()
+        out = list(self.head[start - self.start:stop - self.start])
+        if stop > ts:
+            if self.tail is None:
+                raise UnknownWeightError(max(start, ts))
+            out += self.tail.values(max(start, ts), stop)
+        return out
+
     def tail_start(self) -> int:
         return self.start + len(self.head)
 
-    def sup_abs(self):
-        vals = [abs(v) for v in self.head]
+    def sup_abs(self, first: Optional[int] = None):
+        """(sup of |value(i)| over i >= first, exact); over every index by default."""
+        first = self.start if first is None else max(first, self.start)
+        vals = [abs(v) for v in self.head[first - self.start:]]
         if self.tail is None:
             return (max(vals) if vals else 0.0), True
-        ts, exact = self.tail.sup(self.tail_start())
+        ts, exact = self.tail.sup(max(first, self.tail_start()))
         vals.append(ts)
         return max(vals), exact
 
@@ -446,10 +539,13 @@ def _num_from_json(x) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Family weight rules: map a vertex id to (rule, index) and answer the
-# family-level questions.  ``directed_rules`` pairs each rule with the way its
-# index runs: 1 along the shift, -1 against it, 0 where its vertices branch.
-# ``norm2_sup`` is (sup of ||S e_u||^2 over the vertices the rules cover, exact).
+# Family weight rules: map a vertex id to (rule, index), lay the family's
+# chains over a prefix, and answer the family-level questions.  ``runs(m)``
+# lays each chain over the positions of the prefix ``m``, and
+# ``WeightSystem.fill`` writes |lambda| from them.  ``directed_rules`` pairs
+# each rule with the way its index runs: 1 along the shift, -1 against it, 0
+# where its vertices branch.  ``norm2_sup`` is (sup of ||S e_u||^2 over the
+# vertices the rules cover, exact).
 # ---------------------------------------------------------------------------
 
 
@@ -458,15 +554,82 @@ def _starts_at(rule: Optional[BranchRule], first: int, what: str) -> None:
         raise ValueError(f"{what} rule starts at index {rule.start}; its first index is {first}")
 
 
-class _ChainRules:
+@dataclass(frozen=True)
+class Run:
+    """One chain of a family laid over a prefix: index ``first + k`` of the
+    chain sits at position ``at[k]`` (see :attr:`Materialized.arrays`).  The
+    indices from ``stop`` on lie past the prefix, up to ``end`` (exclusive)
+    in the whole tree.  ``rule`` is None when no rule covers the chain."""
+
+    rule: Optional[BranchRule]
+    first: int
+    at: np.ndarray
+    end: float = math.inf
+
+    @property
+    def stop(self) -> int:
+        return self.first + len(self.at)
+
+    def beyond(self) -> bool:
+        """Does the chain run past the prefix?"""
+        return self.end > self.stop
+
+    def covered(self) -> bool:
+        """Does the rule give every weight of the chain past the prefix?"""
+        r = self.rule
+        return not self.beyond() or (
+            r is not None and r.start <= self.stop and (r.tail is not None or r.tail_start() >= self.end)
+        )
+
+    def write(self, out: np.ndarray) -> None:
+        """Write |lambda| at ``at``: NaN where the rule gives no weight, or
+        where its values overflow, are refused or are not real moduli.  Those
+        are resolved one vertex at a time, where a ``base`` weight comes
+        first and the vertex a sweep meets first raises."""
+        out[self.at] = np.nan
+        r = self.rule
+        if r is None:
+            return
+        lo = max(self.first, r.start)
+        hi = self.stop if r.tail is not None else min(self.stop, r.tail_start())
+        h = max(0, min(hi, r.tail_start()) - lo)  # head entries, maybe complex
+        try:
+            vals = r.values(lo, hi)
+            mods = np.concatenate(([abs(x) for x in vals[:h]], np.abs(np.array(vals[h:], dtype=float))))
+        except (ArithmeticError, ValueError, TypeError):
+            return
+        out[self.at[lo - self.first:hi - self.first]] = mods
+
+
+class _FamilyRules:
+    """What every rules class derives from its ``runs``, which cover every
+    non-root position of the family's prefix once."""
+
+    def _check_family(self, m: Materialized, kind: str, *params) -> None:
+        fam = m.family
+        if fam is None or fam.kind != kind or (params and (fam.eta, fam.kappa) != params):
+            raise UnknownWeightError(f"{type(self).__name__} gives no weights on this prefix")
+
+    def covers(self, m: Materialized) -> bool:
+        """Do the rules give every weight past the prefix ``m``?"""
+        return all(run.covered() for run in self.runs(m))
+
+
+class _ChainRules(_FamilyRules):
     """Families whose rule vertices each have one child."""
 
     every_vertex_branches = False
 
-    def norm2_sup(self) -> tuple:
+    def norm2_sup(self, m: Optional[Materialized] = None) -> tuple:
+        """Over the vertices whose child weight lies past the prefix ``m``
+        (every vertex without ``m``): a base weight inside it never counts."""
+        if m is None:
+            parts = [(rule, None) for rule, _ in self.directed_rules()]
+        else:
+            parts = [(run.rule, run.stop) for run in self.runs(m) if run.beyond() and run.rule is not None]
         best, exact = 0.0, True
-        for rule, _ in self.directed_rules():
-            s, ok = rule.sup_abs()
+        for rule, first in parts:
+            s, ok = rule.sup_abs(first)
             best, exact = max(best, s ** 2), exact and ok
         return best, exact
 
@@ -506,6 +669,14 @@ class BroomWeights(_ChainRules):
         if form == 0 and a <= 0 and self.trunk is not None:
             return self.trunk, -a  # a finite trunk's rule has no value at its root, -kappa
         raise UnknownWeightError(v)
+
+    def runs(self, m: Materialized) -> list:
+        """The trunk's positions (ids -k..0, the root -k first), then each
+        branch's depth positions."""
+        self._check_family(m, "t_eta_kappa", self.eta, self.kappa)
+        d, k = m.depth, int(min(self.kappa, m.depth))
+        out = [Run(self.trunk, 0, np.arange(k, 0, -1), self.kappa)] if k else []
+        return out + [Run(b, 1, np.arange(k + 1 + i * d, k + 1 + (i + 1) * d)) for i, b in enumerate(self.branches)]
 
     def directed_rules(self) -> tuple:
         out = tuple((b, 1) for b in self.branches)
@@ -556,6 +727,15 @@ class ChainWeights(_ChainRules):
             raise UnknownWeightError(v)
         return rule, abs(n)
 
+    def runs(self, m: Materialized) -> list:
+        """The ids -lo..hi of the line's prefix: ``neg`` down to the root
+        -lo, then ``pos``."""
+        self._check_family(m, self.kind)
+        lo = m.depth if self.kind in ("z", "z_minus") else 0
+        hi = m.depth if self.kind in ("z_plus", "z") else 0
+        out = [Run(self.neg, 0, np.arange(lo, 0, -1))] if lo else []
+        return out + ([Run(self.pos, 1, np.arange(lo + 1, lo + hi + 1))] if hi else [])
+
     def directed_rules(self) -> tuple:
         return tuple((r, d) for r, d in ((self.pos, 1), (self.neg, -1)) if r is not None)
 
@@ -575,7 +755,7 @@ class ChainWeights(_ChainRules):
 
 
 @dataclass(frozen=True)
-class BinaryWeights:
+class BinaryWeights(_FamilyRules):
     """Rules on the full binary tree with a distinguished spine.
 
     The spine vertices (i,1) carry ``spine.value(i)``, from i = 1 on; every
@@ -597,13 +777,26 @@ class BinaryWeights:
             raise UnknownWeightError(v)
         if j == 1:
             return self.spine, i
-        return BranchRule(head=(), tail=ConstantTail(self.off_spine), start=0), i
+        return self.off_rule, i
+
+    @property
+    def off_rule(self) -> BranchRule:
+        """The rule of every off-spine vertex: one constant, from index 0 on."""
+        return BranchRule(head=(), tail=ConstantTail(self.off_spine), start=0)
+
+    def runs(self, m: Materialized) -> list:
+        """The spine (i,1), at position 2**i - 1, then the off-spine
+        vertices, whose indices do not matter."""
+        self._check_family(m, "binary")
+        spine = (1 << np.arange(1, m.depth + 1)) - 1
+        return [Run(self.spine, 1, spine), Run(self.off_rule, 0, np.setdiff1d(np.arange(1, len(m.tree.vertices)), spine))]
 
     def directed_rules(self) -> tuple:
-        return (self.spine, 0), (BranchRule(head=(), tail=ConstantTail(self.off_spine), start=0), 0)
+        return (self.spine, 0), (self.off_rule, 0)
 
-    def norm2_sup(self) -> tuple:
-        s, ok = self.spine.sup_abs()
+    def norm2_sup(self, m: Optional[Materialized] = None) -> tuple:
+        """Past the prefix ``m`` when given: the spine from index depth + 1."""
+        s, ok = self.spine.sup_abs(None if m is None else self.runs(m)[0].stop)
         off = self.off_spine
         return max(s ** 2 + off ** 2, 2 * off ** 2), ok
 
@@ -652,11 +845,41 @@ class WeightSystem:
             return rule.value(idx)
         raise UnknownWeightError(v)
 
+    def fill(self, m: Materialized) -> np.ndarray:
+        """|lambda| by position of the prefix ``m`` (see
+        :attr:`Materialized.arrays`): the rules' runs, then every ``base``
+        weight; NaN at the root and wherever neither gives a weight
+        (:func:`local_data` resolves those through :meth:`weight`)."""
+        for out, _ in self.fill_steps(m):
+            pass
+        return out
+
+    def fill_steps(self, m: Materialized):
+        """Write the fill one run of the rules at a time, in the order of
+        ``runs``, and yield (the fill so far, with the ``base`` weights over
+        it; the lowest position that is not final yet) after each."""
+        n = len(m.tree.vertices)
+        runs = [] if self.rules is None else self.rules.runs(m)
+        index = {v: i for i, v in enumerate(m.tree.vertices)} if self.base else {}
+        base = [(index[v], abs(x)) for v, x in self.base.items() if v in m.tree.parent]
+        at = np.array([i for i, _ in base], dtype=np.intp)
+        mods = np.array([x for _, x in base], dtype=float)
+        lows = [int(run.at.min()) for run in runs] + [n]
+        out = np.full(n, np.nan)
+        out[at] = mods
+        for i, run in enumerate(runs):
+            run.write(out)
+            out[at] = mods
+            yield out, min(lows[i + 1:])
+        if not runs:
+            yield out, n
+
     def rules_beyond(self, m: Materialized):
         """The rules, as the answer for the tree beyond the prefix ``m``: None
-        without rules, or when some ``base`` id is not a non-root vertex of
-        ``m`` (no rule describes that weight, so answers stay at depth)."""
-        if self.rules is not None and all(v in m.tree.parent for v in self.base):
+        without rules, when some ``base`` id is not a non-root vertex of
+        ``m``, or when some chain runs past ``m`` without a rule for it (no
+        rule describes those weights, so answers stay at depth)."""
+        if self.rules is not None and all(v in m.tree.parent for v in self.base) and self.rules.covers(m):
             return self.rules
         return None
 
@@ -785,22 +1008,37 @@ class LocalData:
     norms2: np.ndarray
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 by Python's pow, as the scalar formulas take it (numpy's square
+    differs in the last bit), once for each run of equal neighbours."""
+    new = np.ones(len(x), bool)
+    new[1:] = x[1:] != x[:-1]
+    starts = np.flatnonzero(new)
+    sq = np.array([v ** 2 for v in x[starts].tolist()], dtype=float)
+    return np.repeat(sq, np.diff(np.append(starts, len(x))))
+
+
 def local_data(w: WeightSystem, m: Materialized) -> LocalData:
-    """Resolve every weight below a complete vertex once, through ``w.weight``."""
+    """Read every weight below a complete vertex off ``w.fill(m)``; one the
+    fill leaves NaN is resolved through ``w.weight``, in storage order, so
+    the first of them that raises is the one a sweep would meet first."""
     ar = m.arrays
     names = m.tree.vertices
-    n = len(names)
     ep = ar.edge_parent
     below = ar.complete[ep]
     kids = ar.child_idx[below]
-    mods = [abs(w.weight(names[v])) for v in kids.tolist()]
-    mod = np.full(n, np.nan)
-    mod[kids] = mods
-    bad = kids[~np.isfinite(mod[kids])]
+    got = w.fill(m)[kids]
+    unresolved = np.flatnonzero(np.isnan(got))
+    if unresolved.size:
+        got[unresolved] = [abs(w.weight(names[v])) for v in kids[unresolved].tolist()]
+    bad = kids[~np.isfinite(got)]
     if bad.size:
         v = names[bad.min()]
         raise NonFiniteWeightError(f"weight of vertex {v!r} is not finite: {w.weight(v)!r}")
-    sq = [x ** 2 for x in mods]  # pow, as the scalar formulas take it, not x * x
+    n = len(names)
+    mod = np.full(n, np.nan)
+    mod[kids] = got
+    sq = _squares(got)
     mod2 = np.full(n, np.nan)
     mod2[kids] = sq
     # bincount adds in storage order: per parent, children in canonical order
@@ -829,7 +1067,7 @@ def norm(w: WeightSystem, m: Materialized) -> NormResult:
     bound at the materialization depth.  When the rules alone make the norm
     exactly infinite, no weight is resolved."""
     rules = w.rules_beyond(m)
-    if rules is not None and rules.norm2_sup() == (math.inf, True):
+    if rules is not None and rules.norm2_sup(m) == (math.inf, True):
         return NormResult(value=math.inf, exact=True)
     return _norm(rules, m, local_data(w, m))
 
@@ -838,7 +1076,7 @@ def _norm(rules, m: Materialized, loc: LocalData) -> NormResult:
     best = float(loc.norms2.max(initial=0.0))
     exact = m.whole
     if rules is not None:
-        s, exact = rules.norm2_sup()
+        s, exact = rules.norm2_sup(m)
         best = max(best, s)
     return NormResult(value=math.sqrt(best), exact=exact)
 

@@ -270,6 +270,20 @@ def ref_first_drop(rule, forward):
     return None
 
 
+def ref_past_prefix(w, m):
+    """[(rule, first index past the prefix, end)] for each family rule: the
+    rule's indices j0 <= j < end lie past the prefix ``m``."""
+    r, d = w.rules, m.depth
+    if r is None:
+        return []
+    if isinstance(r, shift.BinaryWeights):
+        return [(r.spine, d + 1, math.inf)]
+    if isinstance(r, shift.ChainWeights):
+        return [(x, j0, math.inf) for x, j0 in ((r.pos, d + 1), (r.neg, d)) if x is not None]
+    out = [(b, d + 1, math.inf) for b in r.branches]
+    return out + ([(r.trunk, d, r.kappa)] if r.trunk is not None and r.kappa > d else [])
+
+
 def ref_heads_covered(rules, m):
     return m.depth >= max((r.start + len(r.head) for r, _ in rules), default=0) + 1
 
@@ -295,6 +309,25 @@ def ref_sup_abs(rule):
 # The closed forms as one Python loop per vertex, in canonical order, straight
 # from the definitions.  The library runs them on integer arrays; the property
 # tests hold the two to identical results.
+
+def ref_local_data(w, m):
+    """(mod, mod2, norms2) by position, one weight at a time through
+    ``w.weight``: the children of each complete vertex, in canonical order."""
+    t = m.tree
+    index = {v: i for i, v in enumerate(t.vertices)}
+    mod, mod2, norms2 = (np.full(len(index), x) for x in (math.nan, math.nan, 0.0))
+    for u in sorted(m.complete, key=vertex_key):
+        total = 0.0
+        for v in t.children[u]:
+            x = abs(w.weight(v))
+            mod[index[v]], mod2[index[v]] = x, x ** 2
+            total += x ** 2
+        norms2[index[u]] = total
+    bad = [v for v in t.vertices if not math.isfinite(mod[index[v]]) and v in t.parent and t.parent[v] in m.complete]
+    if bad:
+        raise shift.NonFiniteWeightError(f"weight of vertex {bad[0]!r} is not finite: {w.weight(bad[0])!r}")
+    return mod, mod2, norms2
+
 
 def ref_norms_squared(w, m):
     return {u: sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u]) for u in m.complete}
@@ -536,16 +569,21 @@ def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol
     """Shared detector for the rootless chain-with-dead-branches structure."""
     rules = ref_rules(w)
     if m.has_true_root() if m.family is None else m.family.rooted():
-        zero_tails = rules is None or all(
-            r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0 for r, _ in rules)
-        if zero_tails and all(abs(w.weight(v)) == 0.0 for v in m.tree.vertices if m.tree.parent.get(v) is not None):
-            return cls.Verdict("yes", True, detail={"structure": "zero operator"})
         nz = next((
             v for v in sorted(m.tree.vertices, key=vertex_key)
             if m.tree.parent.get(v) is not None and abs(w.weight(v)) != 0.0
         ), None)
         if nz is not None:
             return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
+        # the prefix is zero: a nonzero head weight past it is the witness
+        for r, j0, end in ref_past_prefix(w, m):
+            j = next((j for j in range(j0, min(r.start + len(r.head), end)) if abs(r.value(j)) != 0.0), None)
+            if j is not None:
+                return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
+        zero_tails = rules is None or all(
+            r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0 for r, _ in rules)
+        if zero_tails:
+            return cls.Verdict("yes", True, detail={"structure": "zero operator"})
         # the prefix is zero: a nonzero tail weight past the tail start is the witness
         for r, _ in rules:
             if r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0:

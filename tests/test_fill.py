@@ -1,0 +1,238 @@
+"""The weight fill: every |lambda| of a family prefix from the rules' runs.
+
+``shift.local_data`` reads ``WeightSystem.fill``, which writes each chain of
+the family from one ``values`` call per rule and never reads a vertex id.
+On every family kind, with ``base`` overrides, zero heads and complex heads,
+it must give what a sweep through ``WeightSystem.weight`` gives, bit for bit,
+and raise what that sweep raises.  The last section pins what the rules
+answer past the prefix.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import treeshift as ts
+from treeshift import classify, cli, shift, tree
+from treeshift.measure import AtomicMeasure
+from treeshift.shift import (
+    AffineTail,
+    BinaryWeights,
+    BranchRule,
+    BroomWeights,
+    CaRatioTail,
+    ChainWeights,
+    ConstantTail,
+    FactorialTail,
+    GeometricTail,
+    MomentRatioTail,
+    SequenceTail,
+    UnknownWeightError,
+    WeightSystem,
+)
+
+from helpers import ref_chain_verdict, ref_local_data
+
+MODULI = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5]), st.floats(0.05, 3.0))
+WEIGHTS = st.builds(lambda r, ph: complex(r * ph), MODULI, st.sampled_from([1, 1j, -1, cmath.exp(0.7j)]))
+HEADS = st.lists(st.one_of(WEIGHTS, MODULI), max_size=3).map(tuple)
+TAILS = st.one_of(
+    st.builds(ConstantTail, st.sampled_from([0.0, -0.5, 1.0, 1.5])),
+    st.builds(GeometricTail, st.floats(0.5, 1.5), st.sampled_from([0.0, 0.9, 1.0, -1.1])),
+    st.builds(FactorialTail, st.sampled_from([0.0, 0.5])),
+    st.just(AffineTail((1, 3, 6, 10))),
+    st.just(AffineTail((4, 9))),  # indices 1..3 precede the first break: the sweep raises
+    st.builds(lambda p: MomentRatioTail(AtomicMeasure.from_pairs([(p, 0.5), (1.2, 0.5)])), st.floats(0.1, 1.1)),
+    st.builds(lambda p: CaRatioTail(AtomicMeasure.from_pairs([(p, 0.3)])), st.floats(0.0, 1.0)),
+    st.builds(lambda c: SequenceTail(lambda i: c / (i + 1)), st.floats(0.1, 2.0)),
+)
+RULES = st.builds(BranchRule, HEADS, st.one_of(st.none(), TAILS, TAILS))
+
+
+def families():
+    brooms = st.builds(ts.broom, st.integers(2, 4), st.sampled_from([0, 1, 2, 3, 5, math.inf]))
+    return st.one_of(brooms, st.sampled_from([ts.zplus(), ts.zline(), ts.zminus(), ts.binary()]))
+
+
+@st.composite
+def rules_for(draw, fam):
+    """A rules object of the family's own class; a rule may be missing."""
+    if fam.kind == "binary":
+        return BinaryWeights(draw(RULES.map(lambda r: BranchRule(r.head, r.tail, 1))),
+                             draw(st.sampled_from([0.0, 0.5, 1.0])))
+    rule = lambda start: RULES.map(lambda r: BranchRule(r.head, r.tail, start))  # noqa: E731
+    if fam.kind != "t_eta_kappa":
+        pos = draw(st.one_of(st.none(), rule(1))) if fam.kind != "z_minus" else None
+        neg = draw(st.one_of(st.none(), rule(0))) if fam.kind != "z_plus" else None
+        return ChainWeights(fam.kind, pos=pos, neg=neg)
+    trunk = None
+    if fam.kappa and draw(st.booleans()):
+        # a finite trunk's tail would be read over its kappa positions when built
+        trunk = draw(rule(0)) if fam.kappa == math.inf else BranchRule(draw(HEADS)[:fam.kappa], None, 0)
+    return BroomWeights(fam.eta, fam.kappa, tuple(draw(rule(1)) for _ in range(fam.eta)), trunk)
+
+
+@st.composite
+def systems(draw):
+    fam = draw(families())
+    m = fam.materialize(draw(st.integers(1, 4 if fam.kind == "binary" else 9)))
+    rules = draw(st.one_of(st.none(), rules_for(fam))) if draw(st.integers(0, 5)) == 0 else draw(rules_for(fam))
+    inner = [v for v in m.tree.vertices if v in m.tree.parent]
+    base = draw(st.dictionaries(st.sampled_from(inner), WEIGHTS, max_size=4))
+    return WeightSystem(base=base, rules=rules), m
+
+
+def outcome(fn, *args):
+    """The arrays as bytes (bit for bit, NaN included), or the error raised."""
+    try:
+        out = fn(*args)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return type(e).__name__, str(e)
+    if isinstance(out, shift.LocalData):
+        out = (out.mod, out.mod2, out.norms2)
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in out)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(systems())
+def test_local_data_matches_the_sweep(wm):
+    assert outcome(shift.local_data, *wm) == outcome(ref_local_data, *wm)
+
+
+def test_deep_broom_fill_matches_the_sweep():
+    mu = AtomicMeasure.from_pairs([(0.2, 0.5), (0.45, 0.5)])  # the moments underflow past ~930
+    w = WeightSystem(rules=BroomWeights(3, math.inf, (
+        BranchRule((0.5j,), MomentRatioTail(mu), 1),
+        BranchRule((), GeometricTail(1.2, 0.999), 1),
+        BranchRule((0.0, 2.0), CaRatioTail(AtomicMeasure.from_pairs([(0.9, 0.5)])), 1),
+    ), BranchRule((0.7,), ConstantTail(0.9), 0)), base={"(2,5)": 3.0, "-7": 0.0})
+    m = ts.broom(3, math.inf).materialize(1100)
+    assert outcome(shift.local_data, w, m) == outcome(ref_local_data, w, m)
+
+
+def test_the_fill_reads_no_vertex_id(monkeypatch):
+    def refuse(v):
+        raise AssertionError(f"vertex_key({v!r}) called")
+    for mod in (tree, shift):
+        monkeypatch.setattr(mod, "vertex_key", refuse)
+    one = BranchRule((0.5j,), ConstantTail(1.0), 1)
+    cases = [
+        (WeightSystem(rules=BroomWeights(3, math.inf, (one,) * 3, BranchRule((), GeometricTail(1.0, 0.9), 0))),
+         ts.broom(3, math.inf)),
+        (WeightSystem(rules=BroomWeights(2, 2, (one,) * 2, BranchRule((1.0, 2.0), None, 0))), ts.broom(2, 2)),
+        (WeightSystem(rules=ChainWeights("z", pos=one, neg=BranchRule((), ConstantTail(2.0), 0))), ts.zline()),
+        (WeightSystem(rules=ChainWeights("z_plus", pos=one)), ts.zplus()),
+        (WeightSystem(rules=ChainWeights("z_minus", neg=BranchRule((), ConstantTail(2.0), 0))), ts.zminus()),
+        (WeightSystem(rules=BinaryWeights(one, 0.5)), ts.binary()),
+    ]
+    for w, fam in cases:
+        m = fam.materialize(5)
+        shift.local_data(w, m)
+        if m.rooted():  # a rooted shift's first nonzero weight is read off the fill
+            classify.is_normal(w, m)
+
+
+def test_rules_of_another_family_give_no_fill():
+    w = WeightSystem(rules=BroomWeights(2, 1, (BranchRule((), ConstantTail(1.0), 1),) * 2, BranchRule((1.0,), None, 0)))
+    for other in (ts.broom(3, 1), ts.broom(2, 2), ts.zline()):
+        with pytest.raises(UnknownWeightError):
+            w.fill(other.materialize(3))
+    with pytest.raises(UnknownWeightError):
+        WeightSystem(rules=ChainWeights("z", pos=BranchRule((), ConstantTail(1.0), 1))).fill(ts.zplus().materialize(3))
+
+
+def test_a_failing_run_is_resolved_vertex_by_vertex():
+    # past index 170 the factorial tail overflows, but base weights cover those
+    # vertices: the sweep never asked the tail for them, and neither does the fill
+    fam = ts.zplus()
+    m = fam.materialize(175)
+    base = {str(n): 1.0 for n in range(171, 176)}
+    w = WeightSystem(base=base, rules=ChainWeights("z_plus", pos=BranchRule((), FactorialTail(1e-300), 1)))
+    assert outcome(shift.local_data, w, m) == outcome(ref_local_data, w, m)
+    assert shift.local_data(w, m).mod[-1] == 1.0
+
+
+# -- what the rules answer past the prefix ---------------------------------------
+
+
+def test_norm_counts_no_head_weight_a_base_weight_overrides():
+    # branch 1's head 9.0 sits at (1,1), which base sets to 1: the norm is sqrt(2)
+    w = shift.weights_from_json({
+        "tails": [{"branch": 1, "head": [9.0], "tail": {"kind": "constant", "value": 1.0}},
+                  {"branch": 2, "tail": {"kind": "constant", "value": 1.0}}],
+        "base": {"(1,1)": 1.0}}, ts.broom(2, 0))
+    m = ts.broom(2, 0).materialize(6)
+    assert shift.norm(w, m) == shift.NormResult(math.sqrt(2.0), True)
+    assert shift.norm(w.with_base({"(1,1)": 9.0}), m) == shift.NormResult(math.sqrt(82.0), True)
+
+
+def test_oracle_compare_agrees_when_base_overrides_a_head(tmp_path, capsys):
+    tree_file, weights_file = tmp_path / "t.json", tmp_path / "w.json"
+    tree_file.write_text('{"kind": "family", "family": "t_eta_kappa", "eta": 2, "kappa": 0, "depth": 6}')
+    weights_file.write_text(
+        '{"tails": [{"branch": 1, "head": [9.0], "tail": {"kind": "constant", "value": 1.0}},'
+        ' {"branch": 2, "tail": {"kind": "constant", "value": 1.0}}], "base": {"(1,1)": 1.0}}')
+    assert cli.run(["oracle-compare", str(tree_file), str(weights_file)]) == 0
+    out = capsys.readouterr().out
+    assert '"norms_agree": true' in out and '"shift_norm": 1.4142135623730951' in out
+    assert '"shift_norm_exact": true' in out
+
+
+def test_rooted_verdict_reads_head_weights_past_the_prefix():
+    # the prefix and both tails are zero, but lambda_(1,9) = 5
+    head = (1.0, 0, 0, 0, 0, 0, 0, 0, 5.0)
+    w = WeightSystem(base={"(1,1)": 0.0}, rules=BroomWeights(2, 0, (
+        BranchRule(head, ConstantTail(0.0), 1), BranchRule((), ConstantTail(0.0), 1))))
+    m = ts.broom(2, 0).materialize(6)
+    want = {"verdict": "no", "exact": True, "witness": {"reason": "rooted and nonzero", "tail_index": 9}}
+    for fn, equal in ((classify.is_normal, True), (classify.is_cohyponormal, False)):
+        assert fn(w, m).to_json() == want
+        assert ref_chain_verdict(w, m, equal, classify.REL_TOL).to_json() == want
+    assert abs(w.weight("(1,9)")) == 5.0  # the witness re-evaluates
+    # at depth 9 the weight is in the prefix
+    deep = classify.is_normal(w, ts.broom(2, 0).materialize(9))
+    assert deep.witness == {"reason": "rooted and nonzero", "vertex": "(1,9)"}
+
+
+def test_rooted_zero_operator_with_zero_heads_past_the_prefix():
+    w = WeightSystem(rules=BroomWeights(2, 0, (
+        BranchRule((0.0,) * 8, ConstantTail(0.0), 1), BranchRule((), ConstantTail(0.0), 1))))
+    v = classify.is_normal(w, ts.broom(2, 0).materialize(3))
+    assert v.to_json() == {"verdict": "yes", "exact": True, "detail": {"structure": "zero operator"}}
+
+
+def test_a_chain_without_a_rule_is_answered_at_depth():
+    # no neg rule on z: the base weights on 0..-5 say nothing below -5
+    base = {str(-k): 1.0 for k in range(6)}
+    w = WeightSystem(base=base, rules=ChainWeights("z", pos=BranchRule((), ConstantTail(1.0), 1)))
+    m = ts.zline().materialize(6)
+    assert w.rules_beyond(m) is None
+    assert shift.norm(w, m) == shift.NormResult(1.0, False)
+    both = WeightSystem(base=base, rules=ChainWeights("z", pos=w.rules.pos, neg=BranchRule((), ConstantTail(1.0), 0)))
+    assert shift.norm(both, m) == shift.NormResult(1.0, True)
+    # the rootless broom with no trunk rule, and a finite trunk longer than the prefix
+    one = BranchRule((), ConstantTail(1.0), 1)
+    for kappa in (math.inf, 9):
+        m = ts.broom(2, kappa).materialize(4)
+        trunk = {str(-k): 1.0 for k in range(4)}
+        w = WeightSystem(base=trunk, rules=BroomWeights(2, kappa, (one, one)))
+        assert w.rules_beyond(m) is None and not shift.norm(w, m).exact
+    # a head-only rule that ends before the chain does gives no weight past it
+    w = WeightSystem(rules=ChainWeights("z_plus", pos=BranchRule((1.0,) * 8, None, 1)))
+    assert w.rules_beyond(ts.zplus().materialize(4)) is None
+    assert w.rules_beyond(ts.zplus().materialize(8)) is None
+    finite = WeightSystem(rules=BroomWeights(2, 3, (one, one), BranchRule((1.0, 1.0, 1.0), None, 0)))
+    assert finite.rules_beyond(ts.broom(2, 3).materialize(2)) is finite.rules
+
+
+def test_cli_norm_of_a_chain_without_a_rule(tmp_path, capsys):
+    tree_file, weights_file = tmp_path / "t.json", tmp_path / "w.json"
+    tree_file.write_text('{"kind": "family", "family": "z", "depth": 6}')
+    weights_file.write_text('{"pos": {"tail": {"kind": "constant", "value": 1.0}}, "base": {'
+                            + ", ".join(f'"{-k}": 1.0' for k in range(6)) + "}}")
+    assert cli.run(["norm", str(tree_file), str(weights_file)]) == 0
+    assert capsys.readouterr().out.strip() == '{"exact": false, "norm": 1.0}'

@@ -25,6 +25,7 @@ from treeshift.shift import (
     CaRatioTail,
     ChainWeights,
     ConstantTail,
+    FactorialTail,
     GeometricTail,
     SequenceTail,
     WeightSystem,
@@ -124,6 +125,72 @@ def test_declared_sequence_tail_conforms(start):
     tail = SequenceTail(lambda i: 2.0 - 1.0 / (i + 1), declared_sup=2.0, declared_inf=1.0,
                         exact=True, declared_ratio=(1.0, 1.5))
     assert_conforms(tail, start, start + SAMPLES)
+
+
+# -- values(start, stop): the numbers value(i) gives, computed once per run ------
+
+
+def run_outcome(fn):
+    """What fn returns, or the type of the error it raises."""
+    try:
+        return fn()
+    except Exception as e:  # noqa: BLE001 - the error type is the outcome
+        return type(e)
+
+
+def assert_values_match(tail, start: int, stop: int) -> None:
+    want = run_outcome(lambda: [tail.value(i) for i in range(start, stop)])
+    got = run_outcome(lambda: tail.values(start, stop))
+    assert got == want, (tail, start, stop)  # ==: the same floats, bit for bit
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(TAIL_JSON, st.integers(0, 40), st.integers(0, 150))
+def test_values_match_value(d, start, length):
+    assert_values_match(tail_from_json(d), start, start + length)
+
+
+LOW = AtomicMeasure.from_pairs([(0.2, 0.5), (0.45, 0.5)])  # moments underflow past ~930
+HIGH = AtomicMeasure.from_pairs([(0.7, 0.3), (1.7, 0.7)])  # 1.7**n overflows past ~1338
+
+
+@pytest.mark.parametrize("tail, start, stop", [
+    (shift.MomentRatioTail(LOW), 2, 1200),  # the pivot quotient past the underflow
+    (shift.MomentRatioTail(AtomicMeasure.from_pairs([(0.3, 0.5), (0.5, 0.5)])), 1070, 1100),
+    (shift.MomentRatioTail(HIGH), 1300, 1400),  # a moment overflows
+    (shift.TrunkMomentRatioTail((0.6, 0.8), (AtomicMeasure.from_pairs([(5e-9, 0.5), (1.0, 0.5)]),
+                                             AtomicMeasure.delta(1.5))), 0, 60),  # negative moments overflow
+    (FactorialTail(0.5), 0, 171),
+    (FactorialTail(0.5), 160, 180),  # 171! is past the float range: OverflowError
+    (FactorialTail(0.0), 150, 200),
+    (GeometricTail(1.0, 2.0), 1015, 1030),  # OverflowError in Python's pow
+    (GeometricTail(-1.5, 0.999), 0, 3000),
+    (ConstantTail(-0.75), 3, 500),
+    (AffineTail((2, 4, 7, 11)), 2, 40),
+    (AffineTail((2, 4, 7, 11)), 1, 5),  # index 1 precedes the first break
+    (CaRatioTail(AtomicMeasure.from_pairs([(0.3, 0.2), (0.95, 0.4)])), 0, 600),
+    (CaRatioTail(AtomicMeasure.zero()), 1, 50),
+    (SequenceTail(lambda i: (-1) ** i / (i + 1)), 0, 30),
+    (ConstantTail(1.0), 5, 2),  # an empty run
+])
+def test_values_match_value_at_the_edges(tail, start, stop):
+    assert_values_match(tail, start, stop)
+
+
+def test_factorial_values_raise_as_value_does():
+    with pytest.raises(OverflowError):
+        FactorialTail(1.0).value(171)
+    with pytest.raises(OverflowError):
+        FactorialTail(1.0).values(170, 172)
+
+
+def test_branch_rule_values_join_head_and_tail():
+    rule = BranchRule((2.0, 1j, 0.0), GeometricTail(1.0, 0.5), 1)
+    assert rule.values(1, 7) == [rule.value(i) for i in range(1, 7)] == [2.0, 1j, 0.0, 0.0625, 0.03125, 0.015625]
+    assert rule.values(5, 7) == [rule.value(5), rule.value(6)]
+    assert run_outcome(lambda: rule.values(0, 3)) is shift.UnknownWeightError  # before the rule's start
+    head_only = BranchRule((1.0, 2.0), None, 1)
+    assert run_outcome(lambda: head_only.values(2, 6)) is shift.UnknownWeightError  # past its head
 
 
 # -- phase invariance: only the moduli of the weights matter ----------------------
