@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 REL_TOL = 1e-10
+"""Relative slack of the closed-form comparisons: a sum of d squared moduli
+is off by about d * 2.2e-16, so this stays three orders above rounding up to
+degree 10^3; the oracle's self-commutator check uses the same."""
 MODEL_ORDERS = 12  # moments of each branch measure the model tests compare
 
 
@@ -134,6 +137,12 @@ class ClassificationReport:
 TAIL_WALK = 10_000  # how far past its start a tail is searched for its first drop
 
 
+def _ruled(rules, m: Materialized) -> list:
+    """The runs of ``rules`` over the prefix ``m`` that have a rule; none
+    without rules."""
+    return [] if rules is None else [run for run in rules.runs(m) if run.rule is not None]
+
+
 def _pinned(w: WeightSystem, m: Materialized, fact, finite: bool = False) -> bool:
     """Is a verdict read off the prefix exact?  With rules: when every head lies
     inside the complete region and ``fact(rule, direction)`` holds on every
@@ -142,9 +151,9 @@ def _pinned(w: WeightSystem, m: Materialized, fact, finite: bool = False) -> boo
     rules = w.rules_beyond(m)
     if rules is None:
         return finite and m.whole
-    rules = rules.directed_rules()
-    horizon = max((r.tail_start() for r, _ in rules), default=0)
-    return m.depth >= horizon + 1 and all(r.tail is None or fact(r, d) for r, d in rules)
+    runs = _ruled(rules, m)
+    horizon = max((run.rule.tail_start() for run in runs), default=0)
+    return m.depth >= horizon + 1 and all(run.rule.tail is None or fact(run.rule, run.direction) for run in runs)
 
 
 def _constant_modulus(rule) -> Optional[float]:
@@ -162,23 +171,24 @@ def _least_step(rule, direction: int) -> tuple:
     return (lo if direction > 0 else (1.0 / hi if hi else math.inf)), exact
 
 
-def _tail_walk(rule, found) -> Optional[int]:
-    """The first j past the tail start with found(|lambda_{j-1}|, |lambda_j|);
-    None within TAIL_WALK steps."""
-    j0 = rule.tail_start()
-    prev = abs(rule.value(j0))
-    for j in range(j0 + 1, j0 + 1 + TAIL_WALK):
-        cur = abs(rule.value(j))
-        if found(prev, cur):
-            return j
-        prev = cur
+def _tail_walk(run, prev: float, found) -> Optional[int]:
+    """The first j from the run's first index past the prefix on with
+    found(|lambda_{j-1}|, |lambda_j|), where ``prev`` is |lambda_{stop-1}|,
+    the prefix's own weight; None up to TAIL_WALK past the tail start.  The
+    values are read in chunks of doubling size: at most about twice those
+    the walk compares."""
+    rule, j, end, size = run.rule, run.stop, run.rule.tail_start() + 1 + TAIL_WALK, 8
+    while j < end:
+        hi, size = min(j + size, end), 2 * size
+        try:
+            vals = rule.values(j, hi)
+        except (ArithmeticError, ValueError, TypeError):
+            vals = map(rule.value, range(j, hi))  # one at a time: the index that raises, raises
+        for cur in map(abs, vals):
+            if found(prev, cur):
+                return j
+            prev, j = cur, j + 1
     return None
-
-
-def _first_drop(rule, direction: int) -> Optional[int]:
-    """The first j past the tail start where |lambda| falls from j - 1 read
-    along the shift (rises in j, against it)."""
-    return _tail_walk(rule, (lambda a, b: b < a) if direction > 0 else (lambda a, b: b > a))
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +265,19 @@ def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
     if nz is not None:
         return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
     rules = w.rules_beyond(m)
-    for run in () if rules is None else rules.runs(m):
+    runs = [run for run in _ruled(rules, m) if run.beyond()]
+    for run in runs:
         r = run.rule
-        heads = range(run.stop, min(r.tail_start(), run.end)) if run.beyond() else ()
-        j = next((j for j in heads if abs(r.value(j)) != 0.0), None)
+        j = next((j for j in range(run.stop, min(r.tail_start(), run.end)) if abs(r.value(j)) != 0.0), None)
         if j is not None:
             return Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
-    nonzero = [] if rules is None else [
-        r for r, _ in rules.directed_rules() if r.tail is not None and r.tail.sup(r.tail_start())[0] != 0.0
-    ]
+    nonzero = [run for run in runs if run.rule.sup_abs(run.stop)[0] != 0.0]  # in a tail: the heads are zero
     if not nonzero:
         if w.rules is not None and rules is None:  # a base weight past the prefix
             return Verdict("yes", False, depth=m.depth or None, detail={"structure": "zero operator"})
         return Verdict("yes", True, detail={"structure": "zero operator"})
-    for r in nonzero:
-        j = _tail_walk(r, lambda a, b: b != 0.0)
+    for run in nonzero:  # the prefix is zero
+        j = _tail_walk(run, 0.0, lambda a, b: b != 0.0)
         if j is not None:
             return Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
     return Verdict("indeterminate", False, depth=m.depth or None)
@@ -412,12 +420,12 @@ def _hyponormal_core(w, m, p, tol) -> Verdict:
         return Verdict("no", True, witness={"vertex": m.tree.vertices[u], "lhs": float(total[u])})
 
     # on a chain, hyponormality is |lambda| nondecreasing along the shift
-    rules = w.rules_beyond(m)
-    for r, d in () if rules is None else rules.directed_rules():
-        if d == 0 or r.tail is None:
+    for run in _ruled(w.rules_beyond(m), m):
+        if run.direction == 0 or run.rule.tail is None:
             continue
-        lo, exact = _least_step(r, d)
-        j = _first_drop(r, d) if exact and lo < 1.0 else None
+        lo, exact = _least_step(run.rule, run.direction)
+        drop = (lambda a, b: b < a) if run.direction > 0 else (lambda a, b: b > a)  # rises in k, against it
+        j = _tail_walk(run, float(loc.mod[run.at[-1]]), drop) if exact and lo < 1.0 else None
         if j is not None:
             return Verdict(
                 "no", True,
@@ -490,11 +498,8 @@ def _zgod0_check(w, measures, chex: bool, tol: float):
 def _zgod0_exact(w, m, measures, chex: bool) -> bool:
     """Is every branch tail the model's own, or of constant modulus where the
     model sequence is geometric?"""
-    rules = w.rules_beyond(m)
-    if rules is None:
-        return False
-    branches = [r for r, d in rules.directed_rules() if d > 0]
-    if len(branches) != len(measures):
+    branches = [run.rule for run in _ruled(w.rules_beyond(m), m) if run.direction > 0]
+    if len(branches) != len(measures):  # also without rules
         return False
     for rule, mu in zip(branches, measures):
         if rule.tail is None:

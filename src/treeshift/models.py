@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 TOL = 1e-10
+"""Slack of the model conditions (mass 1, consistency sums, theta bound), short
+sums off by a few ulps; equal to ``classify.REL_TOL``, so that a model built
+here passes the predicate that tests the same condition."""
 
 
 class NoAdmissibleLambda1Error(ValueError):

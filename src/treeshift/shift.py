@@ -499,22 +499,21 @@ class BranchRule:
     def tail_start(self) -> int:
         return self.start + len(self.head)
 
-    def sup_abs(self, first: Optional[int] = None):
-        """(sup of |value(i)| over i >= first, exact); over every index by default."""
-        first = self.start if first is None else max(first, self.start)
-        vals = [abs(v) for v in self.head[first - self.start:]]
+    def sup_abs(self, first: int):
+        """(sup of |value(i)| over i >= first, exact)."""
+        vals = [abs(v) for v in self.head[max(first - self.start, 0):]]
         if self.tail is None:
             return (max(vals) if vals else 0.0), True
         ts, exact = self.tail.sup(max(first, self.tail_start()))
-        vals.append(ts)
-        return max(vals), exact
+        return max(vals + [ts]), exact
 
-    def inf_abs_nonzero(self):
-        """Infimum of the nonzero head moduli and the tail's; (None, True) if none."""
-        vals = [abs(v) for v in self.head if v != 0]
+    def inf_abs_nonzero(self, first: int):
+        """(inf of the nonzero head moduli and of the tail's, over i >= first,
+        exact); inf where there are none."""
+        vals = [abs(v) for v in self.head[max(first - self.start, 0):] if v != 0]
         if self.tail is None:
-            return (min(vals) if vals else None), True
-        ti, exact = self.tail.inf(self.tail_start())
+            return min(vals, default=math.inf), True
+        ti, exact = self.tail.inf(max(first, self.tail_start()))
         return min(vals + [ti]), exact
 
     def to_json(self):
@@ -541,11 +540,12 @@ def _num_from_json(x) -> complex:
 # ---------------------------------------------------------------------------
 # Family weight rules: map a vertex id to (rule, index), lay the family's
 # chains over a prefix, and answer the family-level questions.  ``runs(m)``
-# lays each chain over the positions of the prefix ``m``, and
-# ``WeightSystem.fill`` writes |lambda| from them.  ``directed_rules`` pairs
-# each rule with the way its index runs: 1 along the shift, -1 against it, 0
-# where its vertices branch.  ``norm2_sup`` is (sup of ||S e_u||^2 over the
-# vertices the rules cover, exact).
+# is the one description of the chains: each lies over the positions of the
+# prefix ``m`` with its direction, and ``WeightSystem.fill`` writes |lambda|
+# from them.  Inside the prefix the fill gives the weights (``base`` wins);
+# a rule is read only from its run's first index past the prefix, ``stop``.
+# ``norm2_sup(m)`` is (sup of ||S e_u||^2 over the vertices whose child
+# weight lies past ``m``, exact).
 # ---------------------------------------------------------------------------
 
 
@@ -559,11 +559,14 @@ class Run:
     """One chain of a family laid over a prefix: index ``first + k`` of the
     chain sits at position ``at[k]`` (see :attr:`Materialized.arrays`).  The
     indices from ``stop`` on lie past the prefix, up to ``end`` (exclusive)
-    in the whole tree.  ``rule`` is None when no rule covers the chain."""
+    in the whole tree.  ``rule`` is None when no rule covers the chain.
+    ``direction`` is the way the index runs: 1 along the shift, -1 against it
+    (lambda_{-k} by k), 0 where the chain's vertices branch."""
 
     rule: Optional[BranchRule]
     first: int
     at: np.ndarray
+    direction: int
     end: float = math.inf
 
     @property
@@ -614,28 +617,21 @@ class _FamilyRules:
         """Do the rules give every weight past the prefix ``m``?"""
         return all(run.covered() for run in self.runs(m))
 
+    def every_vertex_branches(self, m: Materialized) -> bool:
+        return all(run.direction == 0 for run in self.runs(m))
 
-class _ChainRules(_FamilyRules):
-    """Families whose rule vertices each have one child."""
-
-    every_vertex_branches = False
-
-    def norm2_sup(self, m: Optional[Materialized] = None) -> tuple:
-        """Over the vertices whose child weight lies past the prefix ``m``
-        (every vertex without ``m``): a base weight inside it never counts."""
-        if m is None:
-            parts = [(rule, None) for rule, _ in self.directed_rules()]
-        else:
-            parts = [(run.rule, run.stop) for run in self.runs(m) if run.beyond() and run.rule is not None]
+    def norm2_sup(self, m: Materialized) -> tuple:
+        """On chains, whose vertices each have one child."""
         best, exact = 0.0, True
-        for rule, first in parts:
-            s, ok = rule.sup_abs(first)
-            best, exact = max(best, s ** 2), exact and ok
+        for run in self.runs(m):
+            if run.beyond() and run.rule is not None:
+                s, ok = run.rule.sup_abs(run.stop)
+                best, exact = max(best, s ** 2), exact and ok
         return best, exact
 
 
 @dataclass(frozen=True)
-class BroomWeights(_ChainRules):
+class BroomWeights(_FamilyRules):
     """Rules on the broom: trunk positions -k carry lambda_{-k} (k=0..kappa-1
     for a finite trunk, all k when the trunk is infinite); branch i carries
     lambda_{i,j} for j >= 1.  A finite trunk's tail is read over the kappa
@@ -675,12 +671,8 @@ class BroomWeights(_ChainRules):
         branch's depth positions."""
         self._check_family(m, "t_eta_kappa", self.eta, self.kappa)
         d, k = m.depth, int(min(self.kappa, m.depth))
-        out = [Run(self.trunk, 0, np.arange(k, 0, -1), self.kappa)] if k else []
-        return out + [Run(b, 1, np.arange(k + 1 + i * d, k + 1 + (i + 1) * d)) for i, b in enumerate(self.branches)]
-
-    def directed_rules(self) -> tuple:
-        out = tuple((b, 1) for b in self.branches)
-        return out if self.trunk is None else out + ((self.trunk, -1),)
+        out = [Run(self.trunk, 0, np.arange(k, 0, -1), -1, self.kappa)] if k else []
+        return out + [Run(b, 1, np.arange(k + 1 + i * d, k + 1 + (i + 1) * d), 1) for i, b in enumerate(self.branches)]
 
     def to_json(self):
         out = {
@@ -705,7 +697,7 @@ class BroomWeights(_ChainRules):
 
 
 @dataclass(frozen=True)
-class ChainWeights(_ChainRules):
+class ChainWeights(_FamilyRules):
     """Rules on a line: ``pos`` covers vertices n >= 1 (weight index n),
     ``neg`` covers n <= 0 (index k of lambda_{-k})."""
 
@@ -733,11 +725,8 @@ class ChainWeights(_ChainRules):
         self._check_family(m, self.kind)
         lo = m.depth if self.kind in ("z", "z_minus") else 0
         hi = m.depth if self.kind in ("z_plus", "z") else 0
-        out = [Run(self.neg, 0, np.arange(lo, 0, -1))] if lo else []
-        return out + ([Run(self.pos, 1, np.arange(lo + 1, lo + hi + 1))] if hi else [])
-
-    def directed_rules(self) -> tuple:
-        return tuple((r, d) for r, d in ((self.pos, 1), (self.neg, -1)) if r is not None)
+        out = [Run(self.neg, 0, np.arange(lo, 0, -1), -1)] if lo else []
+        return out + ([Run(self.pos, 1, np.arange(lo + 1, lo + hi + 1), 1)] if hi else [])
 
     def to_json(self):
         out = {}
@@ -765,8 +754,6 @@ class BinaryWeights(_FamilyRules):
     spine: BranchRule
     off_spine: float = 1.0
 
-    every_vertex_branches = True
-
     def __post_init__(self):
         _finite(self.off_spine, "off_spine")
         _starts_at(self.spine, 1, "spine")
@@ -789,32 +776,29 @@ class BinaryWeights(_FamilyRules):
         vertices, whose indices do not matter."""
         self._check_family(m, "binary")
         spine = (1 << np.arange(1, m.depth + 1)) - 1
-        return [Run(self.spine, 1, spine), Run(self.off_rule, 0, np.setdiff1d(np.arange(1, len(m.tree.vertices)), spine))]
+        off = np.setdiff1d(np.arange(1, len(m.tree.vertices)), spine)
+        return [Run(self.spine, 1, spine, 0), Run(self.off_rule, 0, off, 0)]
 
-    def directed_rules(self) -> tuple:
-        return (self.spine, 0), (self.off_rule, 0)
-
-    def norm2_sup(self, m: Optional[Materialized] = None) -> tuple:
-        """Past the prefix ``m`` when given: the spine from index depth + 1."""
-        s, ok = self.spine.sup_abs(None if m is None else self.runs(m)[0].stop)
+    def norm2_sup(self, m: Materialized) -> tuple:
+        s, ok = self.spine.sup_abs(self.runs(m)[0].stop)
         off = self.off_spine
         return max(s ** 2 + off ** 2, 2 * off ** 2), ok
 
-    def level_envs(self, depth: int):
-        """Per-level local data (child moduli and child norms squared).
-
-        The generic off-spine environment comes first; the spine environments
-        follow in level order so the tail of the series shows the growth.
-        """
-        mu = lambda i: abs(self.spine.value(i))
+    def level_envs(self, m: Materialized, mod: np.ndarray, depth: int) -> tuple:
+        """(levels, child moduli, child norms squared) of the environments
+        that reach past the prefix ``m``: the off-spine vertices', then the
+        spine's at levels m.depth - 1 .. ``depth``.  A weight inside the
+        prefix is read off ``mod`` (by position), one past it off the rules."""
+        spine = self.runs(m)[0].at  # (i,1) at spine[i - 1], and (i,2) after it
+        d = len(spine)
         off = abs(self.off_spine)
+        mu = lambda i: float(mod[spine[i - 1]]) if i <= d else abs(self.spine.value(i))
+        side = lambda i: float(mod[spine[i - 1] + 1]) if i <= d else off
         white_n2 = 2.0 * off ** 2
-        mods, norms2 = [[off, off]], [[white_n2, white_n2]]
-        # the root behaves like spine level 0; then spine vertices (i,1)
-        for i in range(0, depth + 1):
-            mods.append([mu(i + 1), off])
-            norms2.append([mu(i + 2) ** 2 + off ** 2, white_n2])
-        return mods, norms2
+        levels = [0, *range(max(d - 1, 0), depth + 1)]
+        mods = [[off, off]] + [[mu(i + 1), side(i + 1)] for i in levels[1:]]
+        norms2 = [[white_n2, white_n2]] + [[mu(i + 2) ** 2 + off ** 2, white_n2] for i in levels[1:]]
+        return levels, mods, norms2
 
     def to_json(self):
         return {"mu": self.spine.to_json(), "off_spine": self.off_spine}
@@ -1128,7 +1112,7 @@ def modulus_power(w: WeightSystem, m: Materialized, alpha: float) -> dict:
 class FredholmData:
     a: float  # card(V minus V_lambda^+), possibly inf
     b: float
-    c: float  # infimum of chain-position nonzero moduli, inf when empty
+    c: float  # inf of the nonzero |lambda_v| over v whose parent has one child; inf when none
     is_fredholm: bool
     index: Optional[int]
     exact: bool
@@ -1137,33 +1121,34 @@ class FredholmData:
 
 def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     """Kernel/cokernel counters and the index, promoted to exact when the
-    tail rules pin down the un-materialized part.  A zero head weight counts
-    only once it lies inside the prefix: the depth must reach past the head."""
+    tail rules pin down the un-materialized part.  c reads the weights in
+    force inside the prefix and each rule from its run's first index past it.
+    A zero head weight counts only once it lies inside the prefix: the depth
+    must reach past the head."""
     ar = m.arrays
     rules = w.rules_beyond(m)
     have_rules = rules is not None
     exact = m.whole or have_rules
 
-    if have_rules and rules.every_vertex_branches:
+    if have_rules and rules.every_vertex_branches(m):
         return FredholmData(
             a=0.0, b=math.inf, c=math.inf, is_fredholm=False, index=None,
             exact=True, reason="every vertex branches",
         )
 
-    tail_infs = []
-    tails_cover = True
-    if have_rules:
-        for rule, _ in rules.directed_rules():
-            if rule.tail is not None and rule.tail.sup(rule.tail_start()) == (0.0, True):
-                return FredholmData(
-                    a=math.inf, b=math.inf, c=0.0, is_fredholm=False, index=None,
-                    exact=True, reason="a whole tail of weights vanishes",
-                )
-            iv, ok = rule.inf_abs_nonzero()
-            if iv is not None:
-                tail_infs.append(iv)
-            tails_cover = tails_cover and ok and (0 not in rule.head or m.depth >= rule.tail_start() + 1)
-        exact = exact and tails_cover
+    tail_infs = []  # the rules' c, past the prefix
+    for run in rules.runs(m) if have_rules else ():
+        rule = run.rule
+        if rule is None:
+            continue
+        if rule.tail is not None and rule.tail.sup(max(run.stop, rule.tail_start())) == (0.0, True):
+            return FredholmData(
+                a=math.inf, b=math.inf, c=0.0, is_fredholm=False, index=None,
+                exact=True, reason="a whole tail of weights vanishes",
+            )
+        iv, ok = rule.inf_abs_nonzero(run.stop)
+        tail_infs.append(iv)
+        exact = exact and ok and (0 not in rule.head or m.depth >= rule.tail_start() + 1)
     if not exact:
         raise IndeterminateError(
             "structural counters are not finitely determined at this depth"
@@ -1176,13 +1161,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     b = int(np.sum(np.where(loc.norms2[live] > 0.0, deg[live] - 1, deg[live])))
     ep = ar.edge_parent
     chain = loc.mod[ar.child_idx[ar.complete[ep] & (deg[ep] == 1)]]
-    chain = chain[chain != 0.0]
-    c_candidates = [float(chain.min())] if chain.size else []
-    c_candidates.extend(x for x in tail_infs if x > 0.0)
-    if have_rules and any(x == 0.0 for x in tail_infs):
-        c = 0.0
-    else:
-        c = min(c_candidates) if c_candidates else math.inf
+    c = min([float(chain[chain != 0.0].min(initial=math.inf)), *tail_infs])
 
     is_f = c > 0.0 and b < math.inf
     index = (a - b - 1 if m.rooted() else a - b) if is_f else None
@@ -1300,36 +1279,39 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
     diagonal sup.  Both hold when the operator is provably bounded; else, on
     the binary family, fwd fails iff the spine tail's step ratios reach down
     to 0 and bwd iff they are unbounded; elsewhere the verdicts are at-depth.
-    The local data is scanned by level, then vertex name; only the growth
-    flags depend on that order.
+    Every vertex with two complete levels below it gives its environment;
+    on the binary family the rules add those past the prefix, the spine's up
+    to level ``depth`` (:meth:`BinaryWeights.level_envs`).  The environments
+    are scanned by level, then vertex name (a rule's first in its level);
+    only the growth flags depend on that order.
     """
     if depth is None:
         depth = m.depth or 8
 
     loc = local_data(w, m)
     rules = w.rules_beyond(m)
-    binary = rules is not None and rules.every_vertex_branches
+    binary = rules is not None and rules.every_vertex_branches(m)
+    ar = m.arrays
+    ep, kids = ar.edge_parent, ar.child_idx
+    deg = np.diff(ar.child_ptr)
+    envs = np.flatnonzero(ar.checkable & (deg > 0))
+    # sums over children in storage order, as the one-vertex sum takes them
+    fwd_all = np.bincount(ep, weights=loc.mod2[kids] / (1.0 + loc.norms2[kids]), minlength=len(deg))
+    fwd_vals = fwd_all[envs]
+    t_vals, hs_vals, tr_vals, diag_vals = (np.empty(len(envs)) for _ in range(4))
+    for d in np.unique(deg[envs]).tolist():
+        rows = np.flatnonzero(deg[envs] == d)
+        ch = kids[ar.child_ptr[envs[rows]][:, None] + np.arange(d)]
+        out = _tu_quantities(loc.mod[ch], loc.norms2[ch])
+        for vals, part in zip((t_vals, hs_vals, tr_vals, diag_vals), out):
+            vals[rows] = part
+    level, names = ar.level[envs], [m.tree.vertices[u] for u in envs.tolist()]
     if binary:
-        mods, norms2 = rules.level_envs(depth)
-        fwd_vals = np.array([sum(l ** 2 / (1.0 + n2) for l, n2 in zip(ls, ns)) for ls, ns in zip(mods, norms2)])
-        t_vals, hs_vals, tr_vals, diag_vals = _tu_quantities(np.array(mods), np.array(norms2))
-        level, names = np.arange(len(mods)), [""] * len(mods)
-    else:
-        ar = m.arrays
-        ep, kids = ar.edge_parent, ar.child_idx
-        deg = np.diff(ar.child_ptr)
-        envs = np.flatnonzero(ar.checkable & (deg > 0))
-        # sums over children in storage order, as the one-vertex sum takes them
-        fwd_all = np.bincount(ep, weights=loc.mod2[kids] / (1.0 + loc.norms2[kids]), minlength=len(deg))
-        fwd_vals = fwd_all[envs]
-        t_vals, hs_vals, tr_vals, diag_vals = (np.empty(len(envs)) for _ in range(4))
-        for d in np.unique(deg[envs]).tolist():
-            rows = np.flatnonzero(deg[envs] == d)
-            ch = kids[ar.child_ptr[envs[rows]][:, None] + np.arange(d)]
-            out = _tu_quantities(loc.mod[ch], loc.norms2[ch])
-            for vals, part in zip((t_vals, hs_vals, tr_vals, diag_vals), out):
-                vals[rows] = part
-        level, names = ar.level[envs], [m.tree.vertices[u] for u in envs.tolist()]
+        lv, mods, norms2 = rules.level_envs(m, loc.mod, depth)
+        fwd_vals = np.append(fwd_vals, [sum(l ** 2 / (1.0 + n2) for l, n2 in zip(ls, ns)) for ls, ns in zip(mods, norms2)])
+        out = _tu_quantities(np.array(mods), np.array(norms2))
+        t_vals, hs_vals, tr_vals, diag_vals = (np.append(a, b) for a, b in zip((t_vals, hs_vals, tr_vals, diag_vals), out))
+        level, names = np.append(level, lv), names + [""] * len(lv)
 
     if not len(fwd_vals):
         raise IncompleteTruncationError(m.tree.root, "no vertex has two complete levels")

@@ -261,27 +261,37 @@ def ref_hypo_status(tail, forward):
     return "fails" if tail.exact else "unknown"
 
 
-def ref_first_drop(rule, forward):
-    j0 = rule.start + len(rule.head)
-    for j in range(j0 + 1, j0 + 1 + TAIL_WALK):
-        a, b = abs(rule.value(j - 1)), abs(rule.value(j))
-        if (b < a) if forward else (b > a):
+def ref_first_drop(w, rule, forward, j0, last):
+    """The first j >= j0 where |lambda_j| falls below |lambda_{j-1}| (rises
+    above it, against the shift), up to TAIL_WALK past the tail start; the
+    weight at j0 - 1 is the prefix's own, that of vertex ``last``."""
+    prev = abs(w.weight(last))
+    for j in range(j0, rule.start + len(rule.head) + 1 + TAIL_WALK):
+        cur = abs(rule.value(j))
+        if (cur < prev) if forward else (cur > prev):
             return j
+        prev = cur
     return None
 
 
 def ref_past_prefix(w, m):
-    """[(rule, first index past the prefix, end)] for each family rule: the
-    rule's indices j0 <= j < end lie past the prefix ``m``."""
+    """[(rule, forward, j0, end, last)] for each family rule whose indices
+    j0 <= j < end lie past the prefix ``m`` (``forward`` as in ``ref_rules``);
+    ``last`` is the id of index j0 - 1, the chain's last vertex inside the
+    prefix.  The binary off-spine vertices are counted in storage order: the
+    prefix holds all but the root and the d spine vertices."""
     r, d = w.rules, m.depth
     if r is None:
         return []
     if isinstance(r, shift.BinaryWeights):
-        return [(r.spine, d + 1, math.inf)]
+        off = BranchRule((), ConstantTail(r.off_spine), 0)
+        return [(r.spine, None, d + 1, math.inf, f"({d},1)"),
+                (off, None, len(m.tree.vertices) - 1 - d, math.inf, None)]
     if isinstance(r, shift.ChainWeights):
-        return [(x, j0, math.inf) for x, j0 in ((r.pos, d + 1), (r.neg, d)) if x is not None]
-    out = [(b, d + 1, math.inf) for b in r.branches]
-    return out + ([(r.trunk, d, r.kappa)] if r.trunk is not None and r.kappa > d else [])
+        return [(x, fwd, j0, math.inf, last) for x, fwd, j0, last in
+                ((r.pos, True, d + 1, str(d)), (r.neg, False, d, str(1 - d))) if x is not None]
+    out = [(b, True, d + 1, math.inf, f"({i},{d})") for i, b in enumerate(r.branches, start=1)]
+    return out + ([(r.trunk, False, d, r.kappa, str(1 - d))] if r.trunk is not None and r.kappa > d else [])
 
 
 def ref_heads_covered(rules, m):
@@ -364,11 +374,12 @@ def ref_fredholm_data(w, m):
     tail_infs = []
     tails_cover = True
     if have_rules:
-        for rule, _ in ref_rules(w):
-            vals = [abs(v) for v in rule.head if v != 0]
+        # the rules give the weights past the prefix only
+        for rule, _, j0, _, _ in ref_past_prefix(w, m):
+            vals = [abs(v) for v in rule.head[max(j0 - rule.start, 0):] if v != 0]
             ok = True
             if rule.tail is not None:
-                (lo, ok), (hi, hi_ok) = ref_moduli(rule.tail, rule.start + len(rule.head))
+                (lo, ok), (hi, hi_ok) = ref_moduli(rule.tail, max(j0, rule.start + len(rule.head)))
                 if (hi, hi_ok) == (0.0, True):
                     return shift.FredholmData(a=math.inf, b=math.inf, c=0.0, is_fredholm=False,
                                               index=None, exact=True,
@@ -376,9 +387,11 @@ def ref_fredholm_data(w, m):
                 vals.append(lo)
             if vals:
                 tail_infs.append(min(vals))
+            tails_cover = tails_cover and ok
+        for rule, _ in ref_rules(w):
             # a zero head weight counts only at a depth past the head
             zero_head_inside = all(v != 0 for v in rule.head) or ref_heads_covered([(rule, None)], m)
-            tails_cover = tails_cover and ok and zero_head_inside
+            tails_cover = tails_cover and zero_head_inside
         exact = exact and tails_cover
     a = sum(1 for s in norms2.values() if s == 0.0)
     b = 0
@@ -530,11 +543,11 @@ def ref_is_p_hyponormal(w, m, p=1.0, tol=cls.REL_TOL) -> cls.Verdict:
     if rules is None:
         return cls.Verdict("yes", ref_finite(m), depth=m.depth or None)
     statuses = []
-    for r, fwd in rules:
+    for r, fwd, j0, _, last in ref_past_prefix(w, m):
         if r.tail is None or fwd is None:
             continue
         st = ref_hypo_status(r.tail, fwd)
-        j = ref_first_drop(r, fwd) if st == "fails" else None
+        j = ref_first_drop(w, r, fwd, j0, last) if st == "fails" else None
         if j is not None:
             return cls.Verdict(
                 "no", True,
@@ -576,20 +589,19 @@ def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol
         if nz is not None:
             return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
         # the prefix is zero: a nonzero head weight past it is the witness
-        for r, j0, end in ref_past_prefix(w, m):
+        past = ref_past_prefix(w, m)
+        for r, _, j0, end, _ in past:
             j = next((j for j in range(j0, min(r.start + len(r.head), end)) if abs(r.value(j)) != 0.0), None)
             if j is not None:
                 return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
-        zero_tails = rules is None or all(
-            r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0 for r, _ in rules)
-        if zero_tails:
+        nonzero = [(r, j0) for r, _, j0, _, _ in past
+                   if r.tail is not None and ref_moduli(r.tail, max(j0, r.start + len(r.head)))[1][0] != 0.0]
+        if not nonzero:
             return cls.Verdict("yes", True, detail={"structure": "zero operator"})
-        # the prefix is zero: a nonzero tail weight past the tail start is the witness
-        for r, _ in rules:
-            if r.tail is None or ref_moduli(r.tail, r.start + len(r.head))[1][0] == 0.0:
-                continue
-            j0 = r.start + len(r.head)
-            j = next((j for j in range(j0 + 1, j0 + 1 + TAIL_WALK) if abs(r.value(j)) != 0.0), None)
+        # then the first nonzero tail weight past the prefix
+        for r, j0 in nonzero:
+            j = next((j for j in range(j0, r.start + len(r.head) + 1 + TAIL_WALK) if abs(r.value(j)) != 0.0),
+                     None)
             if j is not None:
                 return cls.Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
         return cls.Verdict("indeterminate", False, depth=m.depth or None)

@@ -354,13 +354,13 @@ def test_admissibility_reads_the_declared_structure():
 
 
 def test_rooted_zero_prefix_with_a_nonzero_tail():
-    # every prefix weight is 0, so the witness is a tail index
+    # every prefix weight is 0, so the witness is a tail index: the first past the prefix
     m = ts.broom(2, 0).materialize(1)
     rule = BranchRule((0.0,), ConstantTail(1.0), 1)
     w = WeightSystem(rules=BroomWeights(2, 0, (rule, rule)))
     for require_equal, pred in ((True, classify.is_normal), (False, classify.is_cohyponormal)):
         v = pred(w, m)
-        assert (v.value, v.exact, v.witness) == ("no", True, {"reason": "rooted and nonzero", "tail_index": 3})
+        assert (v.value, v.exact, v.witness) == ("no", True, {"reason": "rooted and nonzero", "tail_index": 2})
         assert v == ref_chain_verdict(w, m, require_equal, classify.REL_TOL)
     # a tail that may be nonzero but reads 0 at every index walked decides nothing
     zero = BranchRule((0.0,), SequenceTail(lambda i: 0.0), 1)

@@ -35,7 +35,7 @@ from treeshift.shift import (
     WeightSystem,
 )
 
-from helpers import ref_chain_verdict, ref_local_data
+from helpers import ref_chain_verdict, ref_fredholm_data, ref_is_p_hyponormal, ref_local_data
 
 MODULI = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5]), st.floats(0.05, 3.0))
 WEIGHTS = st.builds(lambda r, ph: complex(r * ph), MODULI, st.sampled_from([1, 1j, -1, cmath.exp(0.7j)]))
@@ -236,3 +236,79 @@ def test_cli_norm_of_a_chain_without_a_rule(tmp_path, capsys):
                             + ", ".join(f'"{-k}": 1.0' for k in range(6)) + "}}")
     assert cli.run(["norm", str(tree_file), str(weights_file)]) == 0
     assert capsys.readouterr().out.strip() == '{"exact": false, "norm": 1.0}'
+
+
+# -- every reader of the rules starts past the prefix ---------------------------
+
+
+def broom_base(branch1, branch2, base):
+    """broom eta=2, kappa=0 at depth 6, with the two branch rules and ``base``."""
+    return WeightSystem(base=base, rules=BroomWeights(2, 0, (branch1, branch2))), ts.broom(2, 0).materialize(6)
+
+
+def test_runs_carry_their_direction():
+    one = BranchRule((), ConstantTail(1.0), 1)
+    cases = [
+        (BroomWeights(2, math.inf, (one, one), BranchRule((), ConstantTail(1.0), 0)), ts.broom(2, math.inf), [-1, 1, 1]),
+        (ChainWeights("z", pos=one, neg=BranchRule((), ConstantTail(1.0), 0)), ts.zline(), [-1, 1]),
+        (ChainWeights("z_plus", pos=one), ts.zplus(), [1]),
+        (BinaryWeights(one), ts.binary(), [0, 0]),
+    ]
+    for rules, fam, directions in cases:
+        assert [run.direction for run in rules.runs(fam.materialize(3))] == directions
+    assert not hasattr(BroomWeights, "directed_rules")
+
+
+def test_fredholm_c_reads_chain_positions_and_the_rules_past_the_prefix():
+    # the 0.1 head sits at (1,2), which base sets to 1; (1,1) hangs below the
+    # branching root, so its weight is no chain position either
+    w, m = broom_base(BranchRule((1.0, 0.1), ConstantTail(1.0), 1), BranchRule((), ConstantTail(1.0), 1),
+                      {"(1,2)": 1.0})
+    fd = shift.fredholm_data(w, m)
+    assert (fd.c, fd.exact) == (1.0, True)
+    assert fd == ref_fredholm_data(w, m)
+    # a head value past the prefix still counts
+    w, _ = broom_base(BranchRule((1.0,) * 7 + (0.25,), ConstantTail(1.0), 1), BranchRule((), ConstantTail(1.0), 1), {})
+    assert shift.fredholm_data(w, ts.broom(2, 0).materialize(6)).c == 0.25
+    assert shift.fredholm_data(w, ts.broom(2, 0).materialize(6)) == ref_fredholm_data(w, ts.broom(2, 0).materialize(6))
+
+
+def test_rooted_tail_witness_lies_past_the_prefix():
+    w, m = broom_base(BranchRule((), ConstantTail(1.0), 1), BranchRule((), ConstantTail(0.0), 1),
+                      {f"(1,{j})": 0.0 for j in range(1, 7)})
+    want = {"verdict": "no", "exact": True, "witness": {"reason": "rooted and nonzero", "tail_index": 7}}
+    for fn, equal in ((classify.is_normal, True), (classify.is_cohyponormal, False)):
+        assert fn(w, m).to_json() == want
+        assert ref_chain_verdict(w, m, equal, classify.REL_TOL).to_json() == want
+    assert w.weight("(1,6)") == 0.0 and w.weight("(1,7)") == 1.0
+
+
+@pytest.mark.parametrize("branch1,base,j", [
+    # lambda_(1,6) = 0.3 < 0.9**7, and 0.9**8 < 0.9**7
+    (BranchRule((), GeometricTail(1.0, 0.9), 1), {"(1,1)": 0.1, **{f"(1,{j})": 0.3 for j in range(2, 7)}}, 8),
+    # lambda_(1,6) = 5 > 4 = lambda_(1,7)
+    (BranchRule((), AffineTail((1, 4, 20000)), 1), {f"(1,{j})": float(j - 1) for j in range(2, 7)}, 7),
+])
+def test_hyponormal_tail_witness_lies_past_the_prefix(branch1, base, j):
+    branch2 = BranchRule((0.1,), ConstantTail(1.0), 1) if j == 8 else BranchRule((), ConstantTail(0.0), 1)
+    w, m = broom_base(branch1, branch2, base)
+    want = {"verdict": "no", "exact": True, "witness": {"tail_index": j, "reason": "weights decrease along a tail"}}
+    assert classify.is_hyponormal(w, m).to_json() == want
+    assert ref_is_p_hyponormal(w, m).to_json() == want
+    assert abs(w.weight(f"(1,{j})")) < abs(w.weight(f"(1,{j - 1})"))
+
+
+def test_binary_domain_inclusion_reads_base_inside_the_prefix():
+    m = ts.binary().materialize(5)
+    rules = BinaryWeights(BranchRule((), ConstantTail(1.0), 1), 1.0)
+    plain = shift.domain_inclusion_criteria(WeightSystem(rules=rules), m)
+    assert plain.fwd.sup == 2.0 / 3.0
+    # the root's children (1,1) and (1,2) weigh 5 and 1, each with norm squared 2
+    rep = shift.domain_inclusion_criteria(WeightSystem(base={"(1,1)": 5.0}, rules=rules), m)
+    assert rep.fwd.sup == pytest.approx(26.0 / 3.0)
+    # at the last level, (5,1) = 3 and the rules' (6,1), (6,2) = 1 give spine level 4 10/3
+    deep = shift.domain_inclusion_criteria(WeightSystem(base={"(5,1)": 3.0}, rules=rules), m)
+    assert deep.fwd.sup == pytest.approx(10.0 / 3.0)
+    # a base weight equal to the rule's leaves the report as it is
+    same = WeightSystem(base={"(1,1)": 1.0, "(5,1)": 1.0, "(5,2)": 1.0}, rules=rules)
+    assert shift.domain_inclusion_criteria(same, m) == plain

@@ -459,9 +459,14 @@ def test_finite_trunk_tail_is_read_once():
     # a finite trunk has kappa positions: its tail is read over them when built
     w = BroomWeights(2, 3, (ONE, ONE), BranchRule((1.0,), GeometricTail(1.0, 0.5), 0))
     assert w.trunk == BranchRule((1.0, 0.5, 0.25), None, 0)
-    assert w.directed_rules()[-1][0] is w.trunk
+    trunk = w.runs(ts.broom(2, 3).materialize(2))[0]  # the root -2, then -1 and 0
+    assert (trunk.rule, trunk.direction, trunk.at.tolist(), trunk.stop, trunk.end) == (w.trunk, -1, [2, 1], 2, 3)
     w0 = BroomWeights(2, 1, (ONE, ONE), BranchRule((2.0,), ConstantTail(5.0), 0))
-    assert w0.trunk == BranchRule((2.0,), None, 0) and w0.norm2_sup() == (4.0, True)
+    assert w0.trunk == BranchRule((2.0,), None, 0)
+    # lambda_0 = 2 lies inside the prefix: the fill gives it, the rules only the branches past it
+    m = ts.broom(2, 1).materialize(1)
+    assert w0.norm2_sup(m) == (1.0, True)
+    assert shift.norm(WeightSystem(rules=w0), m) == shift.NormResult(2.0, True)
 
 
 def test_chain_rule_is_picked_by_the_sign_of_the_id():

@@ -8,9 +8,14 @@ Exports the committed files of BASE_REF (any git revision) into a temporary
 directory, then runs ``python3 perfbench/run.py --workload W --seed S
 --seconds 1`` there and in this checkout, for every workload in
 ``BENCHMARK.json`` and seeds 1-3.  Exits 0 when every pair of runs gives the
-same ``output_digest`` and ``failed`` count, 1 otherwise.
+same ``output_digest`` and ``failed`` count, 1 otherwise.  Where the digests
+differ, it runs the seed's pool once more on each side, job by job through
+the benchmark's own modules, and prints every output that differs: workload,
+seed, job (its index in the pool), output (its index in the job's outputs),
+the base value and the value here.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -18,6 +23,23 @@ import sys
 import tempfile
 
 SEEDS = (1, 2, 3)
+
+# One pass over a seed's pool, as perfbench/run.py makes it: prints each
+# job's outputs (the strings the output digest hashes) as one JSON list.
+JOB_OUTPUTS = """
+import json, os, sys
+sys.path[:0] = [os.path.join(os.getcwd(), "perfbench"), os.path.join(os.getcwd(), "src")]
+import run, tracing
+workload, seed = sys.argv[1], int(sys.argv[2])
+wl = run.make_workload(workload, seed)
+rec = tracing.Recorder(False, wl.timing, False)
+outputs = []
+for i, spec in enumerate(wl.pool(run.pool_rng(workload, seed))):
+    job = rec.job(i)
+    wl.run(job, spec)
+    outputs.append(job.outputs)
+print(json.dumps(outputs))
+"""
 
 
 def outputs(root: str, workload: str, seed: int) -> tuple:
@@ -29,6 +51,21 @@ def outputs(root: str, workload: str, seed: int) -> tuple:
     )
     record, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
     return record["output_digest"], result["failed"]
+
+
+def job_outputs(root: str, workload: str, seed: int) -> list:
+    """Each job's outputs, by pool index, from one pass in ``root``."""
+    proc = subprocess.run([sys.executable, "-c", JOB_OUTPUTS, workload, str(seed)],
+                          cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def print_differences(base: str, workload: str, seed: int) -> None:
+    jobs = zip(job_outputs(base, workload, seed), job_outputs(os.getcwd(), workload, seed))
+    for job, (a, b) in enumerate(jobs):
+        for k, (x, y) in enumerate(itertools.zip_longest(a, b)):
+            if x != y:
+                print(f"  {workload} seed {seed} job {job} output {k}: base {x}, here {y}", flush=True)
 
 
 def main(argv) -> int:
@@ -47,6 +84,8 @@ def main(argv) -> int:
                 same = same and a == b
                 print(f"{workload} seed {seed}: base {a[0][:12]} failed {a[1]}, "
                       f"here {b[0][:12]} failed {b[1]}: {'same' if a == b else 'DIFFERENT'}", flush=True)
+                if a[0] != b[0]:
+                    print_differences(base, workload, seed)
     print("same outputs" if same else "outputs differ")
     return 0 if same else 1
 
