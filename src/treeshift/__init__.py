@@ -2,8 +2,8 @@
 
 Build trees (explicit or family prefixes), attach weight systems, classify
 the resulting shift operators, construct model operators from finitely
-atomic measures, and cross-check every closed form against dense-matrix
-truncations.
+atomic measures, and cross-check every closed form against sparse
+truncation matrices.
 """
 
 from . import classify, measure, models, oracle, shift, tree

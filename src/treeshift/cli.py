@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("subnormal", "chex"), default="subnormal")
     p.set_defaults(fn=cmd_backward_extension)
 
-    p = sub.add_parser("oracle-compare", help="closed forms vs dense truncation")
+    p = sub.add_parser("oracle-compare", help="closed forms vs the truncation oracle")
     common(p)
     p.set_defaults(fn=cmd_oracle_compare)
     return ap
@@ -366,6 +366,7 @@ def run(argv) -> int:
         tree.UnknownVertexError,
         OverflowError,  # a tail rule past the float range
         ZeroDivisionError,
+        oracle.NonConvergenceError,  # power iteration on a near-degenerate norm
     ) as e:
         _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
         return 2

@@ -1,17 +1,25 @@
-"""Brute-force cross-checks on dense truncation matrices.
+"""Brute-force cross-checks on sparse truncation matrices.
 
 Everything here is deliberately independent of the closed-form routes: norms
 come from power iteration, positivity from LAPACK eigensolves on explicitly
 assembled matrices.  Truncation artifacts are removed by projecting onto
 *interior* vertices, whose local neighbourhood is fully materialized, so
 agreement with the closed forms is exact at finite depth.
+
+A truncation holds the matrix of S as index arrays, one entry per edge, and
+every matrix is a list of (row, column, value) triples: a product joins the
+entries of its factors on the inner index and sums the entries that land on
+one position, so no n x n array is formed.  An eigenvalue check splits its
+restricted matrix into the connected components of that matrix's own
+nonzero entries and solves all components of one size in one stacked
+``eigh``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,6 +44,7 @@ __all__ = [
 ]
 
 POWER_ITERATION_CAP = 100_000
+WITNESS_TIE = 1e-9  # eigenvector components this close to the largest are tied
 
 
 class NonConvergenceError(RuntimeError):
@@ -54,10 +63,21 @@ class InsufficientLengthError(ValueError):
 
 @dataclass(frozen=True)
 class Truncation:
+    """The matrix of S on a depth-bounded prefix, as index arrays.
+
+    Position i holds vertex ``order[i]`` (BFS order, canonical child order).
+    ``parent[i]`` is its parent's position, -1 at the root, and ``weight[i]``
+    its weight (0 at the root): the matrix has the entry ``weight[i]`` at
+    (i, ``parent[i]``) and no other.  ``complete[i]`` is set when all of the
+    vertex's children are present.
+    """
+
     materialized: Materialized
     order: tuple  # BFS vertex ordering
     index: dict  # vertex -> position
-    matrix: np.ndarray  # matrix[i, j] = weight(v_i) if v_j is parent(v_i)
+    parent: np.ndarray
+    weight: np.ndarray
+    complete: np.ndarray
     interior: frozenset
 
     def pos(self, v: str) -> int:
@@ -74,12 +94,69 @@ class OracleVerdict:
         return self.ok
 
 
+class _Coo(NamedTuple):
+    """A sparse complex matrix as (row, column, value) triples."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def adjoint(self) -> "_Coo":
+        return _Coo(self.cols, self.rows, self.vals.conj())
+
+
+def _coalesce(rows, cols, vals, n: int) -> _Coo:
+    """One entry per position, sorted by (row, column); duplicates are summed
+    in the order given."""
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    out = np.zeros(len(keys), complex)
+    np.add.at(out, inverse, vals)
+    return _Coo(keys // n, keys % n, out)
+
+
+def _product(a: _Coo, b: _Coo, n: int) -> _Coo:
+    """a @ b: every entry (i, j) of a meets every entry (j, k) of b."""
+    by_row = np.argsort(b.rows, kind="stable")
+    b_rows = b.rows[by_row]
+    lo = np.searchsorted(b_rows, a.cols, "left")
+    count = np.searchsorted(b_rows, a.cols, "right") - lo
+    ia = np.repeat(np.arange(len(a.rows)), count)
+    # the entries of b that meet entry i of a: lo[i], ..., lo[i] + count[i] - 1
+    ib = by_row[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(ia))]
+    return _coalesce(a.rows[ia], b.cols[ib], a.vals[ia] * b.vals[ib], n)
+
+
+def _difference(a: _Coo, b: _Coo, n: int) -> _Coo:
+    return _coalesce(np.concatenate([a.rows, b.rows]), np.concatenate([a.cols, b.cols]),
+                     np.concatenate([a.vals, -b.vals]), n)
+
+
+def _diagonal_matrix(d: np.ndarray) -> _Coo:
+    pos = np.arange(len(d))
+    return _Coo(pos, pos, d.astype(complex))
+
+
+def _diagonal(m: _Coo, n: int) -> np.ndarray:
+    """The diagonal of a coalesced matrix."""
+    d = np.zeros(n, complex)
+    on = m.rows == m.cols
+    d[m.rows[on]] = m.vals[on]
+    return d
+
+
+def _matvec(m: _Coo, x: np.ndarray) -> np.ndarray:
+    y = np.zeros(len(x), complex)
+    np.add.at(y, m.rows, m.vals * x[m.cols])
+    return y
+
+
 def truncate(obj, depth: int, weights: Optional[WeightSystem] = None) -> Truncation:
-    """Assemble the dense matrix of a depth-bounded prefix.
+    """Lay a depth-bounded prefix out in BFS order with its weights.
 
     ``obj`` may be a family, a materialized prefix, or a finite tree.  The BFS
     ordering (canonical child order) is deterministic.  Interior vertices have
-    all children present and a present parent (or are the true root).
+    all children present and a present parent (or are the true root).  Each
+    weight is read through ``weights.weight``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -92,41 +169,50 @@ def truncate(obj, depth: int, weights: Optional[WeightSystem] = None) -> Truncat
     else:
         raise TypeError(f"cannot truncate {type(obj).__name__}")
     t = m.tree
-    order = []
-    queue = [t.root]
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        queue.extend(t.children[u])
+    order = [t.root]
+    for u in order:  # the list grows while it is walked: a BFS
+        order.extend(t.children[u])
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
-    a = np.zeros((n, n), dtype=complex)
+    parent = np.fromiter((index.get(t.parent.get(v), -1) for v in order), np.int64, n)
+    weight = np.zeros(n, complex)
     if weights is not None:
-        for v in order:
-            p = t.parent.get(v)
-            if p is not None:
-                a[index[v], index[p]] = weights.weight(v)
+        weight[1:] = [weights.weight(v) for v in order[1:]]
+    complete = np.fromiter((v in m.complete for v in order), bool, n)
     interior = frozenset(
-        v
-        for v in order
-        if v in m.complete and (t.parent.get(v) is not None or not m.boundary_root)
+        v for v, inside in zip(order, _interior(m, parent, complete)) if inside
     )
     return Truncation(
-        materialized=m, order=tuple(order), index=index, matrix=a, interior=interior
+        materialized=m, order=tuple(order), index=index, parent=parent, weight=weight,
+        complete=complete, interior=interior,
     )
+
+
+def _interior(m: Materialized, parent: np.ndarray, complete: np.ndarray) -> np.ndarray:
+    return complete & ((parent >= 0) | (not m.boundary_root))
+
+
+def _matrix(tr: Truncation) -> _Coo:
+    kids = np.flatnonzero(tr.parent >= 0)
+    return _Coo(kids, tr.parent[kids], tr.weight[kids])
+
+
+def _norms_squared(a: _Coo, n: int) -> np.ndarray:
+    """||S e_u||^2 per position: the diagonal of A*A."""
+    return _diagonal(_product(a.adjoint(), a, n), n).real
 
 
 def operator_norm(tr: Truncation, tol: float = 1e-6) -> float:
     """Largest singular value by power iteration on A*A (all-ones seed)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = tr.matrix
-    b = a.conj().T @ a
-    n = b.shape[0]
+    n = len(tr.order)
+    a = _matrix(tr)
+    b = _product(a.adjoint(), a, n)
     x = np.ones(n) / math.sqrt(n)
     est = 0.0
     for _ in range(POWER_ITERATION_CAP):
-        y = b @ x
+        y = _matvec(b, x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0
@@ -140,85 +226,112 @@ def operator_norm(tr: Truncation, tol: float = 1e-6) -> float:
     raise NonConvergenceError(POWER_ITERATION_CAP)
 
 
-def _norms_squared_from_matrix(tr: Truncation) -> np.ndarray:
-    a = tr.matrix
-    return np.real(np.sum(a.conj() * a, axis=0))
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Per position, the least position joined to it through the entries
+    (rows[e], cols[e]): label propagation with pointer jumping."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
-def _partial_isometry(tr: Truncation) -> np.ndarray:
-    a = tr.matrix.copy()
-    n2 = _norms_squared_from_matrix(tr)
-    t = tr.materialized.tree
-    for v in tr.order:
-        p = t.parent.get(v)
-        if p is None:
-            continue
-        j, i = tr.pos(p), tr.pos(v)
-        a[i, j] = a[i, j] / math.sqrt(n2[j]) if n2[j] > 0 else 0.0
-    return a
+def _min_eig(tr: Truncation, m: _Coo, keep: np.ndarray, tol: float) -> OracleVerdict:
+    """Least eigenvalue of the Hermitian part of ``m`` on the positions in ``keep``.
+
+    The restriction splits into the connected components of its nonzero
+    entries; the components of one size go through one stacked ``eigh``.  The
+    least eigenvalue wins, a tie going to the component with the earliest
+    position; the witness is the earliest position among the components of
+    its eigenvector within ``WITNESS_TIE`` (relative) of the largest.
+    """
+    n = len(tr.order)
+    inside = keep[m.rows] & keep[m.cols] & (m.vals != 0)
+    rows, cols, vals = m.rows[inside], m.cols[inside], m.vals[inside]
+    label = _components(rows, cols, n)
+    pos = np.flatnonzero(keep)
+    by_block = np.lexsort((pos, label[pos]))
+    pos = pos[by_block]
+    first = np.flatnonzero(np.r_[True, np.diff(label[pos]) != 0])
+    size = np.diff(np.r_[first, len(pos)])
+    block = np.full(n, -1)
+    block[pos] = np.repeat(np.arange(len(first)), size)
+    rank = np.zeros(n, np.int64)
+    rank[pos] = np.arange(len(pos)) - np.repeat(first, size)
+    scale, best = 1.0, None
+    for s in np.unique(size):
+        ids = np.flatnonzero(size == s)
+        slot = np.full(len(first), -1)
+        slot[ids] = np.arange(len(ids))
+        mine = slot[block[rows]] >= 0
+        stack = np.zeros((len(ids), s, s), complex)
+        stack[slot[block[rows[mine]]], rank[rows[mine]], rank[cols[mine]]] = vals[mine]
+        stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+        scale = max(scale, 1.0 + float(np.max(np.abs(stack))))
+        evs, vecs = np.linalg.eigh(stack)
+        j = int(np.argmin(evs[:, 0]))  # the first of equal minima: the earliest block
+        cand = (float(evs[j, 0]), int(pos[first[ids[j]]]), ids[j], vecs[j, :, 0])
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    min_eig, _, b, vec = best
+    ok = min_eig >= -tol * scale
+    witness = None
+    if not ok:
+        mag = np.abs(vec)
+        top = int(np.argmax(mag >= (1.0 - WITNESS_TIE) * mag.max()))
+        witness = tr.order[pos[first[b] + top]]
+    return OracleVerdict(ok=bool(ok), min_eig=min_eig, witness=witness)
 
 
 def selfcommutator_check(tr: Truncation, p: float = 1.0, tol: float = 1e-10) -> OracleVerdict:
     """Positivity of |S|^2p - |S*|^2p on the interior block.
 
-    |S|^2p is the diagonal of 2p-th norm powers; |S*|^2p is its conjugation
-    by the polar partial isometry.  Interior projection removes every
-    truncation artifact, so the verdict is exact for the infinite operator
-    restricted there.
+    |S|^2p is the diagonal D of 2p-th norm powers; |S*|^2p is U D U*, with U
+    the polar partial isometry.  Interior projection removes every truncation
+    artifact, so the verdict is exact for the infinite operator restricted
+    there.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     if not tr.interior:
         raise EmptyInteriorError("no interior vertices at this depth")
-    n2 = _norms_squared_from_matrix(tr)
-    dpow = n2 ** p
-    u = _partial_isometry(tr)
-    m = np.diag(dpow) - (u * dpow) @ u.conj().T  # u * dpow is u @ diag(dpow)
-    idx = sorted(tr.pos(v) for v in tr.interior)
-    sub = m[np.ix_(idx, idx)]
-    sub = (sub + sub.conj().T) / 2.0
-    evs, vecs = np.linalg.eigh(sub)
-    scale = 1.0 + float(np.max(np.abs(sub))) if sub.size else 1.0
-    ok = evs[0] >= -tol * scale
-    witness = None
-    if not ok:
-        dom = int(np.argmax(np.abs(vecs[:, 0])))
-        witness = tr.order[idx[dom]]
-    return OracleVerdict(ok=bool(ok), min_eig=float(evs[0]), witness=witness)
+    n = len(tr.order)
+    a = _matrix(tr)
+    n2 = _norms_squared(a, n)
+    d = _diagonal_matrix(n2 ** p)
+    norms2 = n2[a.cols]
+    u = _Coo(a.rows, a.cols, np.divide(a.vals, np.sqrt(norms2), out=np.zeros_like(a.vals), where=norms2 > 0))
+    m = _difference(d, _product(_product(u, d, n), u.adjoint(), n), n)
+    return _min_eig(tr, m, _interior(tr.materialized, tr.parent, tr.complete), tol)
 
 
-def _interior_for_power(tr: Truncation, k: int) -> list:
-    """Vertices whose k-step up and down neighbourhoods are fully present."""
+def _power_safe(tr: Truncation, k: int) -> np.ndarray:
+    """Positions whose k-step up and down neighbourhoods are fully present:
+    from the ancestor k levels up (or the true root), every vertex of the
+    next 2k levels down is complete."""
     m = tr.materialized
-    t = m.tree
-    out = []
-    for u in tr.order:
-        x, safe = u, True
-        for _ in range(k):
-            p = t.parent.get(x)
-            if p is None:
-                if m.boundary_root:
-                    safe = False
-                break
-            x = p
-        if not safe:
-            continue
-        # everything reachable downward within 2k levels of the top ancestor
-        # must have complete children up to the horizon
-        level = {x}
-        for step in range(2 * k):
-            nxt = set()
-            for y in level:
-                if y not in m.complete:
-                    safe = False
-                    break
-                nxt.update(t.children[y])
-            if not safe:
-                break
-            level = nxt
-        if safe:
-            out.append(u)
-    return out
+    parent = tr.parent
+    top = np.arange(len(parent))
+    safe = np.ones(len(parent), bool)
+    for _ in range(k):
+        up = parent[top]
+        if m.boundary_root:
+            safe &= up >= 0
+        top = np.where(up >= 0, up, top)
+    # near[x]: an incomplete vertex lies within 2k - 1 levels below x
+    near = ~tr.complete
+    level = near
+    for _ in range(2 * k - 1):
+        below = level & (parent >= 0)
+        level = np.zeros_like(near)
+        level[parent[below]] = True
+        near = near | level
+    return safe & ~near[top]
 
 
 def power_selfcommutator_check(tr: Truncation, k: int = 2, tol: float = 1e-10) -> OracleVerdict:
@@ -227,25 +340,22 @@ def power_selfcommutator_check(tr: Truncation, k: int = 2, tol: float = 1e-10) -
     Searches basis vectors first (a violation there is a certificate), then
     falls back to the eigenvalue of the projected self-commutator.
     """
-    safe = _interior_for_power(tr, k)
-    if not safe:
+    safe = _power_safe(tr, k)
+    if not safe.any():
         raise EmptyInteriorError(f"no vertex supports a power-{k} check")
-    b = np.linalg.matrix_power(tr.matrix, k)
-    m = b.conj().T @ b - b @ b.conj().T
-    idx = sorted(tr.pos(v) for v in safe)
-    for i in idx:
-        gap = float(np.real(m[i, i]))
-        if gap < -tol * (1.0 + abs(gap)):
-            return OracleVerdict(ok=False, min_eig=gap, witness=tr.order[i])
-    sub = m[np.ix_(idx, idx)]
-    sub = (sub + sub.conj().T) / 2.0
-    evs, vecs = np.linalg.eigh(sub)
-    scale = 1.0 + float(np.max(np.abs(sub))) if sub.size else 1.0
-    ok = evs[0] >= -tol * scale
-    witness = None
-    if not ok:
-        witness = tr.order[idx[int(np.argmax(np.abs(vecs[:, 0])))]]
-    return OracleVerdict(ok=bool(ok), min_eig=float(evs[0]), witness=witness)
+    n = len(tr.order)
+    a = _matrix(tr)
+    b = a
+    for _ in range(k - 1):
+        b = _product(b, a, n)
+    bh = b.adjoint()
+    m = _difference(_product(bh, b, n), _product(b, bh, n), n)
+    gaps = _diagonal(m, n).real
+    bad = np.flatnonzero(safe & (gaps < -tol * (1.0 + np.abs(gaps))))
+    if bad.size:
+        i = int(bad[0])
+        return OracleVerdict(ok=False, min_eig=float(gaps[i]), witness=tr.order[i])
+    return _min_eig(tr, m, safe, tol)
 
 
 def hankel_min_eig(p: MomentPrefix, shift: int = 0) -> float:
@@ -269,38 +379,29 @@ def kernel_dims(tr: Truncation) -> tuple:
     un-materialized part is leafless with nonvanishing weights.
     """
     m = tr.materialized
-    t = m.tree
-    n2 = _norms_squared_from_matrix(tr)
-    dim_ker = 0
-    dim_coker = 1 if (t.root is not None and not m.boundary_root) else 0
-    for u in tr.order:
-        if u not in m.complete:
-            continue
-        kids = t.children[u]
-        if not kids:
-            dim_ker += 1
-            continue
-        if n2[tr.pos(u)] == 0.0:
-            dim_ker += 1
-            dim_coker += len(kids)
-        else:
-            dim_coker += len(kids) - 1
+    n = len(tr.order)
+    n2 = _norms_squared(_matrix(tr), n)
+    kids = np.bincount(tr.parent[tr.parent >= 0], minlength=n)
+    dead = tr.complete & (n2 == 0.0)  # leaves, and vertices whose weights vanish
+    live = tr.complete & ~dead
+    dim_ker = int(dead.sum())
+    dim_coker = 1 if (m.tree.root is not None and not m.boundary_root) else 0
+    dim_coker += int(kids[dead].sum() + (kids[live] - 1).sum())
     return dim_ker, dim_coker
 
 
 def matrix_power_norm(tr: Truncation, u: str, n: int) -> float:
-    """||A^n e_u|| by repeated dense matvec."""
-    x = np.zeros(len(tr.order), dtype=complex)
-    x[tr.pos(u)] = 1.0
-    for _ in range(n):
-        x = tr.matrix @ x
-    return float(np.linalg.norm(x))
+    """||A^n e_u|| by repeated sparse matvec."""
+    return _power_norm(tr, _matrix(tr), u, n)
 
 
 def adjoint_power_norm(tr: Truncation, u: str, n: int) -> float:
-    x = np.zeros(len(tr.order), dtype=complex)
+    return _power_norm(tr, _matrix(tr).adjoint(), u, n)
+
+
+def _power_norm(tr: Truncation, a: _Coo, u: str, n: int) -> float:
+    x = np.zeros(len(tr.order), complex)
     x[tr.pos(u)] = 1.0
-    ah = tr.matrix.conj().T
     for _ in range(n):
-        x = ah @ x
+        x = _matvec(a, x)
     return float(np.linalg.norm(x))

@@ -10,7 +10,7 @@ import numpy as np
 
 import treeshift as ts
 from treeshift import classify as cls
-from treeshift import shift, tree
+from treeshift import oracle, shift, tree
 from treeshift.tree import IndeterminateError, Materialized, vertex_key
 from treeshift.measure import AtomicMeasure
 from treeshift.shift import (
@@ -678,3 +678,186 @@ def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol
         "yes", exact, depth=m.depth or None,
         detail={"chain": chain, "terminal": terminal},
     )
+
+
+# -- the dense truncation oracle, kept as the reference of the sparse one ------
+
+
+def ref_bfs(m: Materialized) -> list:
+    """The vertices in BFS order, each vertex's children in canonical order."""
+    t = m.tree
+    order, queue = [], [t.root]
+    while queue:
+        u = queue.pop(0)
+        order.append(u)
+        queue.extend(t.children[u])
+    return order
+
+
+def ref_matrix(tr) -> np.ndarray:
+    """The dense n x n matrix of a truncation: A[i, j] = weight(v_i) if v_j is
+    parent(v_i)."""
+    n = len(tr.order)
+    a = np.zeros((n, n), dtype=complex)
+    for i, j in enumerate(tr.parent.tolist()):
+        if j >= 0:
+            a[i, j] = tr.weight[i]
+    return a
+
+
+def ref_dense_norms_squared(a) -> np.ndarray:
+    return np.real(np.sum(a.conj() * a, axis=0))
+
+
+def ref_partial_isometry(tr, a) -> np.ndarray:
+    u = a.copy()
+    n2 = ref_dense_norms_squared(a)
+    t = tr.materialized.tree
+    for v in tr.order:
+        p = t.parent.get(v)
+        if p is None:
+            continue
+        j, i = tr.pos(p), tr.pos(v)
+        u[i, j] = u[i, j] / math.sqrt(n2[j]) if n2[j] > 0 else 0.0
+    return u
+
+
+def ref_operator_norm(tr, tol=1e-6) -> float:
+    """Largest singular value by power iteration on the dense A*A."""
+    a = ref_matrix(tr)
+    b = a.conj().T @ a
+    n = b.shape[0]
+    x = np.ones(n) / math.sqrt(n)
+    est = 0.0
+    for _ in range(100_000):
+        y = b @ x
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return 0.0
+        new_est = float(np.real(np.vdot(x, y)))
+        x = y / ny
+        if abs(new_est - est) <= 1e-4 * tol * max(new_est, 1e-300):
+            return math.sqrt(max(new_est, 0.0))
+        est = new_est
+    raise RuntimeError("dense power iteration did not settle")
+
+
+def ref_commutator(tr, p=1.0) -> np.ndarray:
+    """|S|^2p - |S*|^2p, dense."""
+    a = ref_matrix(tr)
+    dpow = ref_dense_norms_squared(a) ** p
+    u = ref_partial_isometry(tr, a)
+    return np.diag(dpow) - (u * dpow) @ u.conj().T
+
+
+def ref_power_commutator(tr, k=2) -> np.ndarray:
+    """B*B - BB* with B = A^k, dense."""
+    b = np.linalg.matrix_power(ref_matrix(tr), k)
+    return b.conj().T @ b - b @ b.conj().T
+
+
+def ref_interior(tr) -> list:
+    return sorted(tr.pos(v) for v in tr.interior)
+
+
+def ref_power_safe(tr, k) -> list:
+    """Positions whose k-step up and down neighbourhoods are fully present."""
+    m = tr.materialized
+    t = m.tree
+    out = []
+    for u in tr.order:
+        x, safe = u, True
+        for _ in range(k):
+            p = t.parent.get(x)
+            if p is None:
+                if m.boundary_root:
+                    safe = False
+                break
+            x = p
+        if not safe:
+            continue
+        # everything reachable downward within 2k levels of the top ancestor
+        # must have complete children up to the horizon
+        level = {x}
+        for _ in range(2 * k):
+            nxt = set()
+            for y in level:
+                if y not in m.complete:
+                    safe = False
+                    break
+                nxt.update(t.children[y])
+            if not safe:
+                break
+            level = nxt
+        if safe:
+            out.append(tr.pos(u))
+    return sorted(out)
+
+
+def ref_restricted(mat, idx) -> tuple:
+    """The Hermitian part of ``mat`` on the positions ``idx``, and its scale
+    1 + max |entry|."""
+    sub = mat[np.ix_(idx, idx)]
+    sub = (sub + sub.conj().T) / 2.0
+    return sub, 1.0 + float(np.max(np.abs(sub)))
+
+
+def _ref_eig_check(tr, mat, idx, tol) -> tuple:
+    """(verdict, scale) from one eigensolve of the dense restriction; the
+    witness is the largest component of the least eigenvector."""
+    sub, scale = ref_restricted(mat, idx)
+    evs, vecs = np.linalg.eigh(sub)
+    ok = evs[0] >= -tol * scale
+    witness = None if ok else tr.order[idx[int(np.argmax(np.abs(vecs[:, 0])))]]
+    return oracle.OracleVerdict(bool(ok), float(evs[0]), witness), scale
+
+
+def ref_selfcommutator_check(tr, p=1.0, tol=1e-10) -> tuple:
+    return _ref_eig_check(tr, ref_commutator(tr, p), ref_interior(tr), tol)
+
+
+def ref_power_selfcommutator_check(tr, k=2, tol=1e-10) -> tuple:
+    """Basis vectors first, then one eigensolve; the scale is None when a
+    basis vector decides."""
+    mat = ref_power_commutator(tr, k)
+    idx = ref_power_safe(tr, k)
+    for i in idx:
+        gap = float(np.real(mat[i, i]))
+        if gap < -tol * (1.0 + abs(gap)):
+            return oracle.OracleVerdict(False, gap, tr.order[i]), None
+    return _ref_eig_check(tr, mat, idx, tol)
+
+
+def ref_kernel_dims(tr) -> tuple:
+    """(dim ker S, dim ker S*) counted vertex by vertex on the dense matrix."""
+    m = tr.materialized
+    t = m.tree
+    n2 = ref_dense_norms_squared(ref_matrix(tr))
+    dim_ker = 0
+    dim_coker = 1 if (t.root is not None and not m.boundary_root) else 0
+    for u in tr.order:
+        if u not in m.complete:
+            continue
+        kids = t.children[u]
+        if not kids or n2[tr.pos(u)] == 0.0:
+            dim_ker += 1
+            dim_coker += len(kids)
+        else:
+            dim_coker += len(kids) - 1
+    return dim_ker, dim_coker
+
+
+def ref_witness_block_min(mat, idx, witness_pos) -> float:
+    """Least eigenvalue of the block of the dense restriction that holds the
+    witness: the positions joined to it through nonzero entries."""
+    sub, _ = ref_restricted(mat, idx)
+    start = idx.index(witness_pos)
+    block, todo = {start}, [start]
+    while todo:
+        i = todo.pop()
+        for j in np.flatnonzero(sub[i]).tolist():
+            if j not in block:
+                block.add(j)
+                todo.append(j)
+    rows = sorted(block)
+    return float(np.linalg.eigvalsh(sub[np.ix_(rows, rows)])[0])

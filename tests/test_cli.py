@@ -315,6 +315,18 @@ def test_oracle_compare_unbounded_tail(capsys, tmp_path):
     assert rep["shift_norm"] == "inf" and rep["rel_diff"] == "nan"
 
 
+def test_oracle_compare_power_iteration_that_does_not_settle(capsys, tmp_path):
+    # ||S e_r||^2 = 1 and ||S e_a||^2 = 0.99999: the power iteration needs
+    # more steps than its cap to tell them apart
+    tree = _write(tmp_path, "t.json", {"kind": "explicit", "vertices": ["r", "a", "b"],
+                                       "edges": [["r", "a"], ["a", "b"]]})
+    weights = _write(tmp_path, "w.json", {"base": {"a": 1.0, "b": 0.999995}})
+    code, out = _run(capsys, ["oracle-compare", tree, weights, "--depth", "3"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "NonConvergenceError" and "100000" in err["message"]
+
+
 def test_norm_factorial_tail_past_float_range(capsys, tmp_path):
     # the factorial tail alone makes the norm exactly infinite, so the weights
     # past index 170, which overflow a float, are never resolved

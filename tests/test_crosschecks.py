@@ -17,7 +17,7 @@ from treeshift.measure import (
 )
 from treeshift.shift import WeightSystem, weights_from_json
 
-from helpers import side_branch_chain, ones_chain
+from helpers import ones_chain, ref_commutator, ref_interior, ref_restricted, side_branch_chain
 
 
 def test_jacobi_on_hankel_matrices():
@@ -130,19 +130,7 @@ def test_solve_t_with_mixed_blocks():
 
 def _adjoint_commutator_extremes(m, w, p=1.0):
     tr = oracle.truncate(m, max(m.depth, 1), weights=w)
-    n2 = np.real(np.sum(tr.matrix.conj() * tr.matrix, axis=0))
-    u = tr.matrix.copy()
-    t = tr.materialized.tree
-    for v in tr.order:
-        par = t.parent.get(v)
-        if par is None:
-            continue
-        j, i = tr.pos(par), tr.pos(v)
-        u[i, j] = u[i, j] / math.sqrt(n2[j]) if n2[j] > 0 else 0.0
-    mmat = np.diag(n2 ** p) - u @ np.diag(n2 ** p) @ u.conj().T
-    idx = sorted(tr.pos(v) for v in tr.interior)
-    sub = mmat[np.ix_(idx, idx)]
-    sub = (sub + sub.conj().T) / 2
+    sub, _ = ref_restricted(ref_commutator(tr, p), ref_interior(tr))
     evs = np.linalg.eigvalsh(sub)
     return float(evs[0]), float(evs[-1])
 

@@ -29,6 +29,7 @@ from helpers import (
     p_separating,
     random_tree,
     random_weights,
+    ref_matrix,
     two_threads,
 )
 
@@ -184,7 +185,7 @@ def test_partial_isometry_matrix():
     tr = oracle.truncate(m, 1, weights=pi)
     import numpy as np
 
-    u = tr.matrix
+    u = ref_matrix(tr)
     g = u.conj().T @ u
     norms2 = {
         v: sum(abs(w.weight(c)) ** 2 for c in t.children[v]) for v in t.vertices

@@ -43,6 +43,7 @@ def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
         "failed": result["failed"],
         "correct": result["correct"],
         "output_digest": record["output_digest"],
+        "speed": record["end_to_end"]["speed"],
     }
 
 
