@@ -1,10 +1,11 @@
 """Brute-force cross-checks on sparse truncation matrices.
 
-Everything here is deliberately independent of the closed-form routes: norms
-come from power iteration, positivity from LAPACK eigensolves on explicitly
-assembled matrices.  Truncation artifacts are removed by projecting onto
-*interior* vertices, whose local neighbourhood is fully materialized, so
-agreement with the closed forms is exact at finite depth.
+Everything here is deliberately independent of the closed-form routes: the
+norm and positivity both come from LAPACK eigensolves on explicitly
+assembled matrices, the norm from those of A*A.  Truncation artifacts are
+removed by projecting onto *interior* vertices, whose local neighbourhood is
+fully materialized, so agreement with the closed forms is exact at finite
+depth.
 
 A truncation holds the matrix of S as index arrays, one entry per edge, and
 every matrix is a list of (row, column, value) triples: a product joins the
@@ -30,7 +31,6 @@ from .tree import DirectedTree, Materialized, TreeFamily, as_complete
 __all__ = [
     "Truncation",
     "OracleVerdict",
-    "NonConvergenceError",
     "EmptyInteriorError",
     "InsufficientLengthError",
     "truncate",
@@ -43,14 +43,7 @@ __all__ = [
     "adjoint_power_norm",
 ]
 
-POWER_ITERATION_CAP = 100_000
 WITNESS_TIE = 1e-9  # eigenvector components this close to the largest are tied
-
-
-class NonConvergenceError(RuntimeError):
-    def __init__(self, iterations):
-        super().__init__(f"power iteration did not settle in {iterations} steps")
-        self.iterations = iterations
 
 
 class EmptyInteriorError(ValueError):
@@ -202,30 +195,6 @@ def _norms_squared(a: _Coo, n: int) -> np.ndarray:
     return _diagonal(_product(a.adjoint(), a, n), n).real
 
 
-def operator_norm(tr: Truncation, tol: float = 1e-6) -> float:
-    """Largest singular value by power iteration on A*A (all-ones seed)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = len(tr.order)
-    a = _matrix(tr)
-    b = _product(a.adjoint(), a, n)
-    x = np.ones(n) / math.sqrt(n)
-    est = 0.0
-    for _ in range(POWER_ITERATION_CAP):
-        y = _matvec(b, x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        new_est = float(np.real(np.vdot(x, y)))
-        x = y / ny
-        # successive Rayleigh quotients can stall near-degenerate pairs, so
-        # demand a margin well below the requested accuracy
-        if abs(new_est - est) <= 1e-4 * tol * max(new_est, 1e-300):
-            return math.sqrt(max(new_est, 0.0))
-        est = new_est
-    raise NonConvergenceError(POWER_ITERATION_CAP)
-
-
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Per position, the least position joined to it through the entries
     (rows[e], cols[e]): label propagation with pointer jumping."""
@@ -241,29 +210,37 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         label = new
 
 
-def _min_eig(tr: Truncation, m: _Coo, keep: np.ndarray, tol: float) -> OracleVerdict:
-    """Least eigenvalue of the Hermitian part of ``m`` on the positions in ``keep``.
+def operator_norm(tr: Truncation) -> float:
+    """Largest singular value: the square root of the largest eigenvalue of
+    A*A, taken block by block."""
+    n = len(tr.order)
+    a = _matrix(tr)
+    b = _product(a.adjoint(), a, n)
+    top = max(float(evs[:, -1].max()) for _, _, evs, _ in _blocks(b, np.ones(n, bool)))
+    return math.sqrt(max(top, 0.0))
+
+
+def _blocks(m: _Coo, keep: np.ndarray):
+    """The Hermitian part of ``m`` on the positions in ``keep``, block by block.
 
     The restriction splits into the connected components of its nonzero
-    entries; the components of one size go through one stacked ``eigh``.  The
-    least eigenvalue wins, a tie going to the component with the earliest
-    position; the witness is the earliest position among the components of
-    its eigenvector within ``WITNESS_TIE`` (relative) of the largest.
+    entries.  Per component size this yields ``(members, stack, evs, vecs)``:
+    each component's positions in ascending order, one row per component and
+    the rows ordered by their first position; the components' blocks; and
+    one stacked ``eigh`` of them.
     """
-    n = len(tr.order)
+    n = len(keep)
     inside = keep[m.rows] & keep[m.cols] & (m.vals != 0)
     rows, cols, vals = m.rows[inside], m.cols[inside], m.vals[inside]
     label = _components(rows, cols, n)
     pos = np.flatnonzero(keep)
-    by_block = np.lexsort((pos, label[pos]))
-    pos = pos[by_block]
+    pos = pos[np.lexsort((pos, label[pos]))]
     first = np.flatnonzero(np.r_[True, np.diff(label[pos]) != 0])
     size = np.diff(np.r_[first, len(pos)])
     block = np.full(n, -1)
     block[pos] = np.repeat(np.arange(len(first)), size)
     rank = np.zeros(n, np.int64)
     rank[pos] = np.arange(len(pos)) - np.repeat(first, size)
-    scale, best = 1.0, None
     for s in np.unique(size):
         ids = np.flatnonzero(size == s)
         slot = np.full(len(first), -1)
@@ -272,19 +249,32 @@ def _min_eig(tr: Truncation, m: _Coo, keep: np.ndarray, tol: float) -> OracleVer
         stack = np.zeros((len(ids), s, s), complex)
         stack[slot[block[rows[mine]]], rank[rows[mine]], rank[cols[mine]]] = vals[mine]
         stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-        scale = max(scale, 1.0 + float(np.max(np.abs(stack))))
         evs, vecs = np.linalg.eigh(stack)
+        yield pos[first[ids, None] + np.arange(s)], stack, evs, vecs
+
+
+def _min_eig(tr: Truncation, m: _Coo, keep: np.ndarray, tol: float) -> OracleVerdict:
+    """Least eigenvalue of the Hermitian part of ``m`` on the positions in ``keep``.
+
+    The least eigenvalue over the blocks wins, a tie going to the block with
+    the earliest position; the witness is the earliest position among the
+    components of its eigenvector within ``WITNESS_TIE`` (relative) of the
+    largest.
+    """
+    scale, best = 1.0, None
+    for members, stack, evs, vecs in _blocks(m, keep):
+        scale = max(scale, 1.0 + float(np.max(np.abs(stack))))
         j = int(np.argmin(evs[:, 0]))  # the first of equal minima: the earliest block
-        cand = (float(evs[j, 0]), int(pos[first[ids[j]]]), ids[j], vecs[j, :, 0])
+        cand = (float(evs[j, 0]), int(members[j, 0]), members[j], vecs[j, :, 0])
         if best is None or cand[:2] < best[:2]:
             best = cand
-    min_eig, _, b, vec = best
+    min_eig, _, members, vec = best
     ok = min_eig >= -tol * scale
     witness = None
     if not ok:
         mag = np.abs(vec)
         top = int(np.argmax(mag >= (1.0 - WITNESS_TIE) * mag.max()))
-        witness = tr.order[pos[first[b] + top]]
+        witness = tr.order[members[top]]
     return OracleVerdict(ok=bool(ok), min_eig=min_eig, witness=witness)
 
 

@@ -1123,8 +1123,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
     """Kernel/cokernel counters and the index, promoted to exact when the
     tail rules pin down the un-materialized part.  c reads the weights in
     force inside the prefix and each rule from its run's first index past it.
-    A zero head weight counts only once it lies inside the prefix: the depth
-    must reach past the head."""
+    A zero head weight past the prefix leaves the counters open."""
     ar = m.arrays
     rules = w.rules_beyond(m)
     have_rules = rules is not None
@@ -1148,7 +1147,7 @@ def fredholm_data(w: WeightSystem, m: Materialized) -> FredholmData:
             )
         iv, ok = rule.inf_abs_nonzero(run.stop)
         tail_infs.append(iv)
-        exact = exact and ok and (0 not in rule.head or m.depth >= rule.tail_start() + 1)
+        exact = exact and ok and 0 not in rule.head[max(0, run.stop - rule.start):]
     if not exact:
         raise IndeterminateError(
             "structural counters are not finitely determined at this depth"

@@ -376,7 +376,8 @@ def ref_fredholm_data(w, m):
     if have_rules:
         # the rules give the weights past the prefix only
         for rule, _, j0, _, _ in ref_past_prefix(w, m):
-            vals = [abs(v) for v in rule.head[max(j0 - rule.start, 0):] if v != 0]
+            head = rule.head[max(j0 - rule.start, 0):]
+            vals = [abs(v) for v in head if v != 0]
             ok = True
             if rule.tail is not None:
                 (lo, ok), (hi, hi_ok) = ref_moduli(rule.tail, max(j0, rule.start + len(rule.head)))
@@ -387,11 +388,8 @@ def ref_fredholm_data(w, m):
                 vals.append(lo)
             if vals:
                 tail_infs.append(min(vals))
-            tails_cover = tails_cover and ok
-        for rule, _ in ref_rules(w):
-            # a zero head weight counts only at a depth past the head
-            zero_head_inside = all(v != 0 for v in rule.head) or ref_heads_covered([(rule, None)], m)
-            tails_cover = tails_cover and zero_head_inside
+            # a zero weight past the prefix leaves a and b open
+            tails_cover = tails_cover and ok and 0 not in head
         exact = exact and tails_cover
     a = sum(1 for s in norms2.values() if s == 0.0)
     b = 0
@@ -722,24 +720,9 @@ def ref_partial_isometry(tr, a) -> np.ndarray:
     return u
 
 
-def ref_operator_norm(tr, tol=1e-6) -> float:
-    """Largest singular value by power iteration on the dense A*A."""
-    a = ref_matrix(tr)
-    b = a.conj().T @ a
-    n = b.shape[0]
-    x = np.ones(n) / math.sqrt(n)
-    est = 0.0
-    for _ in range(100_000):
-        y = b @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        new_est = float(np.real(np.vdot(x, y)))
-        x = y / ny
-        if abs(new_est - est) <= 1e-4 * tol * max(new_est, 1e-300):
-            return math.sqrt(max(new_est, 0.0))
-        est = new_est
-    raise RuntimeError("dense power iteration did not settle")
+def ref_operator_norm(tr) -> float:
+    """Largest singular value of the dense matrix, by SVD."""
+    return float(np.linalg.norm(ref_matrix(tr), 2))
 
 
 def ref_commutator(tr, p=1.0) -> np.ndarray:

@@ -277,7 +277,7 @@ GOLDEN = [
     (['norm', 'explicit.json', 'explicit_w.json'], 0,
      '{"exact": false, "norm": 2.0}\n'),
     (['oracle-compare', 'broom.json', 'broom_w.json', '--depth', '6'], 0,
-     '{"classifiers_agree": true, "hyponormal_closed_form": "no", "hyponormal_oracle": "no", "norms_agree": true, "oracle_norm": 1.299999999986942, "rel_diff": 1.0044614712639417e-11, "shift_norm": 1.3, "shift_norm_exact": true}\n'),
+     '{"classifiers_agree": true, "hyponormal_closed_form": "no", "hyponormal_oracle": "no", "norms_agree": true, "oracle_norm": 1.3, "rel_diff": 0.0, "shift_norm": 1.3, "shift_norm_exact": true}\n'),
 ]
 
 
@@ -315,16 +315,27 @@ def test_oracle_compare_unbounded_tail(capsys, tmp_path):
     assert rep["shift_norm"] == "inf" and rep["rel_diff"] == "nan"
 
 
-def test_oracle_compare_power_iteration_that_does_not_settle(capsys, tmp_path):
-    # ||S e_r||^2 = 1 and ||S e_a||^2 = 0.99999: the power iteration needs
-    # more steps than its cap to tell them apart
+def _compare_on_a_path(capsys, tmp_path, a, b):
+    """oracle-compare on r -> a -> b with weights a and b."""
     tree = _write(tmp_path, "t.json", {"kind": "explicit", "vertices": ["r", "a", "b"],
                                        "edges": [["r", "a"], ["a", "b"]]})
-    weights = _write(tmp_path, "w.json", {"base": {"a": 1.0, "b": 0.999995}})
+    weights = _write(tmp_path, "w.json", {"base": {"a": a, "b": b}})
     code, out = _run(capsys, ["oracle-compare", tree, weights, "--depth", "3"])
-    assert code == 2
-    err = json.loads(out)["error"]
-    assert err["kind"] == "NonConvergenceError" and "100000" in err["message"]
+    assert code == 0
+    return json.loads(out)
+
+
+def test_oracle_compare_near_degenerate_norm_is_exact(capsys, tmp_path):
+    # ||S e_r||^2 = 1 and ||S e_a||^2 = 0.99999: the largest eigenvalue of
+    # A*A is read off its blocks, however close the next one lies
+    rep = _compare_on_a_path(capsys, tmp_path, 1.0, 0.999995)
+    assert rep["oracle_norm"] == rep["shift_norm"] == 1.0 and rep["norms_agree"]
+
+
+def test_oracle_compare_norm_past_1e77(capsys, tmp_path):
+    # ||S e_r||^2 = 4e160: squaring A*A's entries once more would overflow
+    rep = _compare_on_a_path(capsys, tmp_path, 2e80, 1e80)
+    assert rep["oracle_norm"] == rep["shift_norm"] == 2e80 and rep["norms_agree"]
 
 
 def test_norm_factorial_tail_past_float_range(capsys, tmp_path):

@@ -43,12 +43,12 @@ def test_truncate_broom_count_and_interior():
 def test_operator_norm_cases():
     fam, w = p_separating(1.0, 1.0, 1.0)  # isometry
     tr = oracle.truncate(fam.materialize(8), 8, weights=w)
-    assert oracle.operator_norm(tr) == pytest.approx(1.0, rel=1e-6)
+    assert oracle.operator_norm(tr) == pytest.approx(1.0, rel=1e-12)
 
     m = ts.zplus().materialize(6)
     w2 = WeightSystem(base={str(n): float(n) for n in range(1, 7)})
     tr2 = oracle.truncate(m, 6, weights=w2)
-    assert oracle.operator_norm(tr2) == pytest.approx(6.0, rel=1e-6)
+    assert oracle.operator_norm(tr2) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_operator_norm_vs_closed_form():
@@ -58,9 +58,7 @@ def test_operator_norm_vs_closed_form():
         w = random_weights(rng, t)
         m = tree.as_complete(t)
         tr = oracle.truncate(m, 1, weights=w)
-        assert oracle.operator_norm(tr, 1e-7) == pytest.approx(
-            shift.norm(w, m).value, rel=1e-6
-        )
+        assert oracle.operator_norm(tr) == pytest.approx(shift.norm(w, m).value, rel=1e-12)
 
 
 def test_selfcommutator_examples():

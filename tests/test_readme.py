@@ -43,7 +43,7 @@ def test_python_example():
     v = values[sub]
     assert (v.value, v.exact, v.detail["extremal"]) == ("yes", True, True)
     assert (values[norm].value, values[norm].exact) == (1.0, True)
-    assert values["oracle.operator_norm(tr)"] == pytest.approx(1.0, rel=1e-6)
+    assert values["oracle.operator_norm(tr)"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cli_example(capsys, tmp_path):

@@ -101,8 +101,7 @@ def test_norm_matches_oracle_on_random_trees():
         closed = shift.norm(w, m)
         assert closed.exact
         tr = oracle.truncate(m, 1, weights=w)
-        brute = oracle.operator_norm(tr, tol=1e-6)
-        assert brute == pytest.approx(closed.value, rel=1e-6)
+        assert oracle.operator_norm(tr) == pytest.approx(closed.value, rel=1e-12)
 
 
 def test_norm_unbounded_tail():
@@ -496,12 +495,12 @@ def test_base_past_the_prefix_is_answered_at_depth():
 def test_fredholm_zero_head_past_the_prefix():
     w = WeightSystem(rules=BroomWeights(2, 0, (BranchRule((1.0, 1.0, 0.0), ConstantTail(1.0), 1),
                                               BranchRule((1.0,), ConstantTail(1.0), 1))))
-    for depth in (2, 3):  # the zero weight at (1,3) needs depth 5 = tail start + 1
-        with pytest.raises(tree.IndeterminateError):
-            shift.fredholm_data(w, ts.broom(2, 0).materialize(depth))
-    for depth in (5, 8):
+    # the zero weight at (1,3) blocks exactness only while it lies past the prefix
+    with pytest.raises(tree.IndeterminateError):
+        shift.fredholm_data(w, ts.broom(2, 0).materialize(2))
+    for depth in (3, 4, 5, 8):
         fd = shift.fredholm_data(w, ts.broom(2, 0).materialize(depth))
-        assert (fd.a, fd.b, fd.exact) == (1, 2, True)
+        assert (fd.a, fd.b, fd.c, fd.exact) == (1, 2, 1.0, True)
 
 
 TAIL_KINDS = {
