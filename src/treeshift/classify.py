@@ -8,7 +8,6 @@ carries a witness that can be re-evaluated directly.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -26,9 +25,8 @@ from .measure import (
 )
 from .models import _neg_sum, model_tail
 from .shift import (
-    BranchRule,
-    BroomWeights,
     IncompleteTruncationError,
+    UnknownWeightError,
     WeightSystem,
     apply,
     local_data,
@@ -196,14 +194,19 @@ def _tail_walk(run, prev: float, found) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+def _norm2_at(m: Materialized, loc, u: int):
+    """||S e_u||^2 of the complete vertex u as a witness reports it: a
+    childless vertex's norm is an empty sum, the integer 0."""
+    return 0 if m.arrays.child_ptr[u + 1] == m.arrays.child_ptr[u] else float(loc.norms2[u])
+
+
 def is_isometry(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Verdict:
     """sum of squared child weights equals 1 at every vertex."""
-    for u in m.tree.vertices:
-        if u not in m.complete:
-            continue
-        s = sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
-        if not _eq(s, 1.0, tol):
-            return Verdict("no", True, witness={"vertex": u, "norm_squared": s})
+    loc = local_data(w, m)
+    bad = m.arrays.complete & ~_eq_all(loc.norms2, 1.0, tol)
+    if bad.any():
+        u = int(np.argmax(bad))
+        return Verdict("no", True, witness={"vertex": m.tree.vertices[u], "norm_squared": _norm2_at(m, loc, u)})
     # a chain vertex's norm is its child's weight; branching rules prove nothing
     exact = _pinned(w, m, lambda r, d: d != 0 and _constant_modulus(r) == 1.0, finite=True)
     return Verdict("yes", exact, depth=m.depth or None)
@@ -219,51 +222,28 @@ def is_quasinormal(w: WeightSystem, m: Materialized, tol: float = REL_TOL) -> Ve
     if bad.any():
         k = int(np.argmax(bad))
         u, v = int(ep[k]), int(kids[k])
-        # a childless vertex's norm is an empty sum, the integer 0
-        leaf = ar.child_ptr[v + 1] == ar.child_ptr[v]
         return Verdict(
             "no", True,
             witness={
                 "parent": m.tree.vertices[u], "child": m.tree.vertices[v],
-                "norms_squared": [float(loc.norms2[u]), 0 if leaf else float(loc.norms2[v])],
+                "norms_squared": [float(loc.norms2[u]), _norm2_at(m, loc, v)],
             },
         )
     common = float(loc.norms2[ep[np.flatnonzero(on)[-1]]]) if on.any() else None
     exact = _pinned(w, m, lambda r, d: _constant_modulus(r) is not None)
     detail = {}
-    below = ar.complete[ep]
-    # weights below an incomplete vertex are not in the local data
-    rest = kids[~below].tolist()
-    nonzero = bool(np.all(loc.mod[kids[below]] > 0)) and all(
-        abs(w.weight(m.tree.vertices[v])) > 0 for v in rest
-    )
-    if common is not None and nonzero:
+    if common is not None and bool(np.all(loc.mod[kids] > 0)):
         detail["scalar_multiple_of_isometry"] = math.sqrt(common)
     return Verdict("yes", exact, depth=m.depth or None, detail=detail)
-
-
-def _first_nonzero(w: WeightSystem, m: Materialized) -> Optional[str]:
-    """The lowest id with a nonzero weight.  The fill is read as it is
-    written (:meth:`WeightSystem.fill_steps`), so no run past the one that
-    holds that weight is evaluated; a position the fill leaves NaN is read
-    through ``w.weight`` when the scan meets it."""
-    names, nonroot = m.tree.vertices, m.arrays.parent >= 0
-    lo = 0
-    for out, hi in w.fill_steps(m):
-        for p in (lo + np.flatnonzero(nonroot[lo:hi] & (out[lo:hi] != 0.0))).tolist():  # NaN != 0
-            if not math.isnan(out[p]) or abs(w.weight(names[p])) != 0.0:
-                return names[p]
-        lo = hi
-    return None
 
 
 def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
     """A rooted shift is normal or cohyponormal only when it is zero: the
     first nonzero weight of the prefix, else of a head past the prefix,
     else of a tail, is the witness."""
-    nz = _first_nonzero(w, m)
-    if nz is not None:
-        return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": nz})
+    nz = np.flatnonzero((m.arrays.parent >= 0) & (local_data(w, m).mod != 0.0))
+    if nz.size:
+        return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": m.tree.vertices[nz[0]]})
     rules = w.rules_beyond(m)
     runs = [run for run in _ruled(rules, m) if run.beyond()]
     for run in runs:
@@ -277,6 +257,8 @@ def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
             return Verdict("yes", False, depth=m.depth or None, detail={"structure": "zero operator"})
         return Verdict("yes", True, detail={"structure": "zero operator"})
     for run in nonzero:  # the prefix is zero
+        if run.past is not None:  # a nonzero constant weighs every vertex of the run
+            return Verdict("no", True, witness={"reason": "rooted and nonzero", "vertex": run.past})
         j = _tail_walk(run, 0.0, lambda a, b: b != 0.0)
         if j is not None:
             return Verdict("no", True, witness={"reason": "rooted and nonzero", "tail_index": j})
@@ -284,80 +266,73 @@ def _rooted_verdict(w: WeightSystem, m: Materialized) -> Verdict:
 
 
 def _chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol: float) -> Verdict:
-    """Shared detector for the rootless chain-with-dead-branches structure."""
+    """Shared detector for the rootless chain-with-dead-branches structure,
+    walked over positions from the root."""
     if m.rooted():
         return _rooted_verdict(w, m)
-
-    @functools.cache
-    def norm2(u):  # ||S e_u||^2 of a complete vertex, resolved on first use
-        return sum(abs(w.weight(v)) ** 2 for v in m.tree.children[u])
-
+    loc = local_data(w, m)
+    ar, names = m.arrays, m.tree.vertices
+    norm2, mod = loc.norms2.tolist(), loc.mod.tolist()
+    complete, ptr, idx = ar.complete.tolist(), ar.child_ptr.tolist(), ar.child_idx.tolist()
     chain = []
-    cur = m.tree.root
+    cur = int(np.flatnonzero(ar.parent < 0)[0])
     terminal = False
-    unresolved: set = set()
+    allowed = ar.parent < 0  # the root, the chain and the fan it ends in
     while True:
-        kids = m.tree.children[cur]
-        if any(v not in m.complete for v in kids):
-            unresolved.update(kids)  # the chain leaves the truncation here
+        kids = idx[ptr[cur]:ptr[cur + 1]]
+        if not all(complete[v] for v in kids):
+            allowed[kids] = True  # the chain leaves the truncation here
             break
-        plus = [v for v in kids if norm2(v) > 0.0]
+        plus = [v for v in kids if norm2[v] > 0.0]
         if len(plus) > 1:
-            return Verdict("no", True, witness={"vertex": cur, "reason": "two live children"})
-        dead = [v for v in kids if norm2(v) == 0.0 and abs(w.weight(v)) != 0.0]
+            return Verdict("no", True, witness={"vertex": names[cur], "reason": "two live children"})
+        dead = [v for v in kids if norm2[v] == 0.0 and mod[v] != 0.0]
         if plus:
             v = plus[0]
-            lam = abs(w.weight(v))
+            lam2 = mod[v] * mod[v]
             if dead:
-                return Verdict("no", True, witness={"vertex": dead[0], "reason": "nonzero weight off the chain"})
-            bad = (
-                not _eq(norm2(v), lam * lam, tol)
-                if require_equal
-                else not _leq(norm2(v), lam * lam, tol)
-            )
+                return Verdict("no", True, witness={"vertex": names[dead[0]], "reason": "nonzero weight off the chain"})
+            bad = not _eq(norm2[v], lam2, tol) if require_equal else not _leq(norm2[v], lam2, tol)
             if bad:
                 # prefer the root cause: a nonzero weight feeding a dead branch below v
-                for x in m.tree.children[v]:
-                    if x in m.complete and norm2(x) == 0.0 and abs(w.weight(x)) != 0.0:
+                for x in idx[ptr[v]:ptr[v + 1]]:
+                    if complete[x] and norm2[x] == 0.0 and mod[x] != 0.0:
                         return Verdict(
                             "no", True,
-                            witness={"vertex": x, "reason": "nonzero weight off the chain"},
+                            witness={"vertex": names[x], "reason": "nonzero weight off the chain"},
                         )
                 return Verdict(
                     "no", True,
-                    witness={"vertex": v, "child_norm_squared": norm2(v), "weight_squared": lam * lam},
+                    witness={"vertex": names[v], "child_norm_squared": norm2[v], "weight_squared": lam2},
                 )
             chain.append(v)
+            allowed[v] = True
             cur = v
             continue
         # no live child: a terminal broom may absorb one last nonzero step
-        if require_equal and any(abs(w.weight(v)) != 0.0 for v in kids):
-            v = next(v for v in kids if abs(w.weight(v)) != 0.0)
-            return Verdict("no", True, witness={"vertex": v, "reason": "terminal weights break normality"})
+        if require_equal and any(mod[v] != 0.0 for v in kids):
+            v = next(v for v in kids if mod[v] != 0.0)
+            return Verdict("no", True, witness={"vertex": names[v], "reason": "terminal weights break normality"})
         if not require_equal and chain:
-            last = chain[-1]
-            s = norm2(last)  # chain vertices are complete
-            if not _leq(s, abs(w.weight(last)) ** 2, tol):
+            last = chain[-1]  # chain vertices are complete
+            if not _leq(norm2[last], mod[last] ** 2, tol):
                 return Verdict(
                     "no", True,
-                    witness={"vertex": last, "children_norm_squared": s},
+                    witness={"vertex": names[last], "children_norm_squared": norm2[last]},
                 )
-        unresolved.update(kids)  # terminal fan may carry nonzero weights
+        allowed[kids] = True  # the terminal fan may carry nonzero weights
         terminal = True
         break
 
     # everything off the extracted chain must carry zero weight
-    allowed = set(chain) | unresolved
-    for v in m.tree.vertices:
-        if m.tree.parent.get(v) is None or v in allowed:
-            continue
-        if abs(w.weight(v)) != 0.0:
-            return Verdict("no", True, witness={"vertex": v, "reason": "nonzero weight off the chain"})
+    off = np.flatnonzero(~allowed & (loc.mod != 0.0))
+    if off.size:
+        return Verdict("no", True, witness={"vertex": names[off[0]], "reason": "nonzero weight off the chain"})
 
     exact = _pinned(w, m, lambda r, d: _constant_modulus(r) is not None)
     return Verdict(
         "yes", exact, depth=m.depth or None,
-        detail={"chain": chain, "terminal": terminal},
+        detail={"chain": [names[v] for v in chain], "terminal": terminal},
     )
 
 
@@ -459,26 +434,13 @@ def _broom_data(w: WeightSystem, m: Materialized):
     return fam
 
 
-def _rule_weight(w: WeightSystem, rule: Optional[BranchRule], idx: int, v: str) -> float:
-    """|lambda_v|, where ``v`` is index ``idx`` of the broom's ``rule``: a
-    ``base`` weight first, as :meth:`WeightSystem.weight` reads it."""
-    if v in w.base:
-        return abs(w.base[v])
-    if rule is not None:
-        try:
-            return abs(rule.value(idx))
-        except KeyError:
-            pass
-    raise IncompleteTruncationError(v, "no weight rule covers it")
-
-
-def _branch_weight(w: WeightSystem, i: int, j: int) -> float:
-    branches = w.rules.branches if isinstance(w.rules, BroomWeights) else ()
-    return _rule_weight(w, branches[i - 1] if i <= len(branches) else None, j, f"({i},{j})")
-
-
-def _trunk_weight(w: WeightSystem, k: int) -> float:
-    return _rule_weight(w, w.rules.trunk if isinstance(w.rules, BroomWeights) else None, k, str(-k))
+def _model_weight(w: WeightSystem, v: str) -> float:
+    """|lambda_v| for the model predicates; a vertex that no weight covers
+    makes the truncation too shallow for them."""
+    try:
+        return abs(w.weight(v))
+    except UnknownWeightError:
+        raise IncompleteTruncationError(v, "no weight rule covers it") from None
 
 
 def _zgod0_check(w, measures, chex: bool, tol: float):
@@ -486,7 +448,7 @@ def _zgod0_check(w, measures, chex: bool, tol: float):
     for i, mu in enumerate(measures, start=1):
         prod = 1.0
         for n in range(1, MODEL_ORDERS + 1):
-            prod *= _branch_weight(w, i, n + 1) ** 2
+            prod *= _model_weight(w, f"({i},{n + 1})") ** 2
             if chex:
                 want = msr.ca_term(1.0, mu, n)
             else:
@@ -538,7 +500,7 @@ def subnormal_on_T(
     _zgod0_check(w, measures, chex=False, tol=tol)
     exact = _zgod0_exact(w, m, measures, chex=False)
 
-    lam1 = [_branch_weight(w, i, 1) for i in range(1, eta + 1)]
+    lam1 = [_model_weight(w, f"({i},1)") for i in range(1, eta + 1)]
     detail = {"extremal": False}
     if kappa == 0:
         v = _neg_sum(lam1, measures, 1)
@@ -556,7 +518,7 @@ def subnormal_on_T(
     # squared trunk weights
     prod = 1.0
     for k in range(1, (K if kappa == math.inf else int(kappa)) + 1):
-        prod *= _trunk_weight(w, k - 1) ** 2
+        prod *= _model_weight(w, str(1 - k)) ** 2
         lhs, rhs = 1.0 / prod, _neg_sum(lam1, measures, k + 1)
         if k != kappa and not _eq(lhs, rhs, tol):
             return Verdict(
@@ -601,7 +563,7 @@ def chex_on_T(
     _zgod0_check(w, taus, chex=True, tol=tol)
     exact = _zgod0_exact(w, m, taus, chex=True)
     kappa = int(kappa)
-    lam1 = [_branch_weight(w, i, 1) for i in range(1, eta + 1)]
+    lam1 = [_model_weight(w, f"({i},1)") for i in range(1, eta + 1)]
     ssum = sum(c * c for c in lam1)
     detail = {"extremal": False}
     if kappa == 0:
@@ -621,7 +583,7 @@ def chex_on_T(
     # prod is the product of the first k squared trunk weights
     prod = 1.0
     for k in range(1, kappa + 1):
-        lhs = _trunk_weight(w, k - 1) ** 2
+        lhs = _model_weight(w, str(1 - k)) ** 2
         prod *= lhs
         rhs = 1.0 + prod * _neg_sum(lam1, taus, k + 1)
         if k != kappa and not _eq(lhs, rhs, tol):

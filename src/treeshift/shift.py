@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -561,13 +562,16 @@ class Run:
     indices from ``stop`` on lie past the prefix, up to ``end`` (exclusive)
     in the whole tree.  ``rule`` is None when no rule covers the chain.
     ``direction`` is the way the index runs: 1 along the shift, -1 against it
-    (lambda_{-k} by k), 0 where the chain's vertices branch."""
+    (lambda_{-k} by k), 0 where the chain's vertices branch.  Where the
+    indices name no vertex (the binary off-spine run, whose rule is one
+    constant), ``past`` names a vertex past the prefix that the rule weighs."""
 
     rule: Optional[BranchRule]
     first: int
     at: np.ndarray
     direction: int
     end: float = math.inf
+    past: Optional[str] = None
 
     @property
     def stop(self) -> int:
@@ -773,11 +777,12 @@ class BinaryWeights(_FamilyRules):
 
     def runs(self, m: Materialized) -> list:
         """The spine (i,1), at position 2**i - 1, then the off-spine
-        vertices, whose indices do not matter."""
+        vertices, whose indices do not matter: past the prefix, (d+1,2)
+        stands for them."""
         self._check_family(m, "binary")
         spine = (1 << np.arange(1, m.depth + 1)) - 1
         off = np.setdiff1d(np.arange(1, len(m.tree.vertices)), spine)
-        return [Run(self.spine, 1, spine, 0), Run(self.off_rule, 0, off, 0)]
+        return [Run(self.spine, 1, spine, 0), Run(self.off_rule, 0, off, 0, past=f"({m.depth + 1},2)")]
 
     def norm2_sup(self, m: Materialized) -> tuple:
         s, ok = self.spine.sup_abs(self.runs(m)[0].stop)
@@ -812,12 +817,14 @@ class BinaryWeights(_FamilyRules):
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Weights for all non-root vertices: explicit base plus optional rules."""
+    """Weights for all non-root vertices: explicit base plus optional rules.
+    ``base`` is kept as a read-only copy, so a bound system cannot change."""
 
     base: Mapping[str, complex] = field(default_factory=dict)
     rules: Optional[object] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "base", MappingProxyType(dict(self.base)))
         for v, x in self.base.items():
             _finite(x, f"weight of vertex {v!r}")
 
@@ -831,32 +838,18 @@ class WeightSystem:
 
     def fill(self, m: Materialized) -> np.ndarray:
         """|lambda| by position of the prefix ``m`` (see
-        :attr:`Materialized.arrays`): the rules' runs, then every ``base``
-        weight; NaN at the root and wherever neither gives a weight
+        :attr:`Materialized.arrays`): each run of the rules, then every
+        ``base`` weight; NaN at the root and wherever neither gives a weight
         (:func:`local_data` resolves those through :meth:`weight`)."""
-        for out, _ in self.fill_steps(m):
-            pass
-        return out
-
-    def fill_steps(self, m: Materialized):
-        """Write the fill one run of the rules at a time, in the order of
-        ``runs``, and yield (the fill so far, with the ``base`` weights over
-        it; the lowest position that is not final yet) after each."""
-        n = len(m.tree.vertices)
-        runs = [] if self.rules is None else self.rules.runs(m)
+        out = np.full(len(m.tree.vertices), np.nan)
+        for run in [] if self.rules is None else self.rules.runs(m):
+            run.write(out)
         index = {v: i for i, v in enumerate(m.tree.vertices)} if self.base else {}
         base = [(index[v], abs(x)) for v, x in self.base.items() if v in m.tree.parent]
-        at = np.array([i for i, _ in base], dtype=np.intp)
-        mods = np.array([x for _, x in base], dtype=float)
-        lows = [int(run.at.min()) for run in runs] + [n]
-        out = np.full(n, np.nan)
-        out[at] = mods
-        for i, run in enumerate(runs):
-            run.write(out)
-            out[at] = mods
-            yield out, min(lows[i + 1:])
-        if not runs:
-            yield out, n
+        if base:
+            at, mods = zip(*base)
+            out[list(at)] = mods
+        return out
 
     def rules_beyond(self, m: Materialized):
         """The rules, as the answer for the tree beyond the prefix ``m``: None
@@ -980,11 +973,12 @@ def apply_adjoint(w: WeightSystem, m: Materialized, f: Mapping[str, complex]) ->
 
 @dataclass(frozen=True)
 class LocalData:
-    """|lambda_v|, |lambda_v|**2 and ||S e_u||^2 by vertex id (see
-    :attr:`~treeshift.tree.Materialized.arrays`).
+    """|lambda_v|, |lambda_v|**2 and ||S e_u||^2 by position (see
+    :attr:`~treeshift.tree.Materialized.arrays`), read-only.
 
-    Only the weights of children of complete vertices are resolved; ``mod``
-    and ``mod2`` are NaN elsewhere and ``norms2`` is 0 on incomplete vertices.
+    ``mod`` and ``mod2`` hold every non-root position and are NaN at the
+    root; ``norms2`` is 0 on incomplete vertices, whose children are not all
+    in the prefix.
     """
 
     mod: np.ndarray
@@ -1003,30 +997,39 @@ def _squares(x: np.ndarray) -> np.ndarray:
 
 
 def local_data(w: WeightSystem, m: Materialized) -> LocalData:
-    """Read every weight below a complete vertex off ``w.fill(m)``; one the
-    fill leaves NaN is resolved through ``w.weight``, in storage order, so
-    the first of them that raises is the one a sweep would meet first."""
+    """The one binding of ``w`` to the prefix ``m``, which every reader of
+    the moduli shares: ``m`` keeps the last one, for the same ``w`` object.
+
+    The weights are ``w.fill(m)``; a position it leaves NaN is resolved
+    through ``w.weight`` in storage order (by parent id, then canonical
+    order), so the first of them that raises is the one a sweep would meet
+    first, and every reader raises it."""
+    last = getattr(m, "_bound", None)
+    if last is None or last[0] is not w:
+        # keyed by w itself, held here, not by id(w), which a new system could reuse
+        last = (w, _bind(w, m))
+        object.__setattr__(m, "_bound", last)
+    return last[1]
+
+
+def _bind(w: WeightSystem, m: Materialized) -> LocalData:
     ar = m.arrays
     names = m.tree.vertices
-    ep = ar.edge_parent
-    below = ar.complete[ep]
-    kids = ar.child_idx[below]
-    got = w.fill(m)[kids]
-    unresolved = np.flatnonzero(np.isnan(got))
+    ep, kids = ar.edge_parent, ar.child_idx
+    mod = w.fill(m)
+    unresolved = kids[np.isnan(mod[kids])]
     if unresolved.size:
-        got[unresolved] = [abs(w.weight(names[v])) for v in kids[unresolved].tolist()]
-    bad = kids[~np.isfinite(got)]
+        mod[unresolved] = [abs(w.weight(names[v])) for v in unresolved.tolist()]
+    bad = kids[~np.isfinite(mod[kids])]
     if bad.size:
         v = names[bad.min()]
         raise NonFiniteWeightError(f"weight of vertex {v!r} is not finite: {w.weight(v)!r}")
-    n = len(names)
-    mod = np.full(n, np.nan)
-    mod[kids] = got
-    sq = _squares(got)
-    mod2 = np.full(n, np.nan)
-    mod2[kids] = sq
+    mod2 = _squares(mod)
+    below = ar.complete[ep]
     # bincount adds in storage order: per parent, children in canonical order
-    norms2 = np.bincount(ep[below], weights=sq, minlength=n)
+    norms2 = np.bincount(ep[below], weights=mod2[kids[below]], minlength=len(names))
+    for a in (mod, mod2, norms2):
+        a.flags.writeable = False
     return LocalData(mod, mod2, norms2)
 
 
@@ -1066,22 +1069,26 @@ def _norm(rules, m: Materialized, loc: LocalData) -> NormResult:
 
 
 def power_norm_squared(w: WeightSystem, m: Materialized, u: str, n: int) -> float:
-    """||S^n e_u||^2 as a sum of squared path products over n levels."""
+    """||S^n e_u||^2 as a sum of squared path products over n levels, taken
+    depth first."""
     if u not in m.tree.children:
         raise UnknownVertexError(u)
     if n == 0:
         return 1.0
+    mod2 = local_data(w, m).mod2
+    ar, names = m.arrays, m.tree.vertices
     total = 0.0
-    stack = [(u, 0, 1.0)]
+    stack = [(names.index(u), 0, 1.0)]
     while stack:
         x, k, acc = stack.pop()
         if k == n:
             total += acc
             continue
-        if not m.is_complete(x):
-            raise IncompleteTruncationError(x, f"need level {n} below {u!r}")
-        for v in m.tree.children[x]:
-            stack.append((v, k + 1, acc * abs(w.weight(v)) ** 2))
+        if not ar.complete[x]:
+            raise IncompleteTruncationError(names[x], f"need level {n} below {u!r}")
+        kids = ar.child_idx[ar.child_ptr[x]:ar.child_ptr[x + 1]]
+        for v, sq in zip(kids.tolist(), mod2[kids].tolist()):
+            stack.append((v, k + 1, acc * sq))
     return total
 
 
@@ -1174,19 +1181,14 @@ def normalize_weights(w: WeightSystem, m: Materialized) -> tuple:
     beta = 1 wherever the weight vanishes, anchored at the materialized root.
     """
     t = m.tree
-    beta = {t.root: 1.0 + 0.0j}
+    beta, abs_base = {t.root: 1.0 + 0.0j}, {}
     order = [t.root]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
+    for u in order:  # the list grows while it is walked: a BFS
         for v in t.children[u]:
             lam = w.weight(v)
+            abs_base[v] = abs(lam)
             beta[v] = (abs(lam) / lam) * beta[u] if lam != 0 else 1.0 + 0.0j
             order.append(v)
-    abs_base = {
-        v: abs(w.weight(v)) for v in t.vertices if t.parent.get(v) is not None
-    }
     return WeightSystem(base=abs_base, rules=w.rules), beta
 
 

@@ -278,8 +278,8 @@ def ref_past_prefix(w, m):
     """[(rule, forward, j0, end, last)] for each family rule whose indices
     j0 <= j < end lie past the prefix ``m`` (``forward`` as in ``ref_rules``);
     ``last`` is the id of index j0 - 1, the chain's last vertex inside the
-    prefix.  The binary off-spine vertices are counted in storage order: the
-    prefix holds all but the root and the d spine vertices."""
+    prefix.  The binary off-spine indices name no vertex: their j0 counts
+    those in the prefix, all but the root and the d spine vertices."""
     r, d = w.rules, m.depth
     if r is None:
         return []
@@ -322,18 +322,20 @@ def ref_sup_abs(rule):
 
 def ref_local_data(w, m):
     """(mod, mod2, norms2) by position, one weight at a time through
-    ``w.weight``: the children of each complete vertex, in canonical order."""
+    ``w.weight``: the children of each vertex, in canonical order; norms2
+    only on complete vertices."""
     t = m.tree
     index = {v: i for i, v in enumerate(t.vertices)}
     mod, mod2, norms2 = (np.full(len(index), x) for x in (math.nan, math.nan, 0.0))
-    for u in sorted(m.complete, key=vertex_key):
+    for u in sorted(t.vertices, key=vertex_key):
         total = 0.0
         for v in t.children[u]:
             x = abs(w.weight(v))
             mod[index[v]], mod2[index[v]] = x, x ** 2
             total += x ** 2
-        norms2[index[u]] = total
-    bad = [v for v in t.vertices if not math.isfinite(mod[index[v]]) and v in t.parent and t.parent[v] in m.complete]
+        if u in m.complete:
+            norms2[index[u]] = total
+    bad = [v for v in t.vertices if not math.isfinite(mod[index[v]]) and v in t.parent]
     if bad:
         raise shift.NonFiniteWeightError(f"weight of vertex {bad[0]!r} is not finite: {w.weight(bad[0])!r}")
     return mod, mod2, norms2
@@ -598,6 +600,9 @@ def ref_chain_verdict(w: WeightSystem, m: Materialized, require_equal: bool, tol
             return cls.Verdict("yes", True, detail={"structure": "zero operator"})
         # then the first nonzero tail weight past the prefix
         for r, j0 in nonzero:
+            if isinstance(w.rules, shift.BinaryWeights) and r.start == 0:  # the off-spine constant
+                return cls.Verdict("no", True, witness={"reason": "rooted and nonzero",
+                                                        "vertex": f"({m.depth + 1},2)"})
             j = next((j for j in range(j0, r.start + len(r.head) + 1 + TAIL_WALK) if abs(r.value(j)) != 0.0),
                      None)
             if j is not None:

@@ -42,6 +42,7 @@ from helpers import (
     ref_is_p_hyponormal,
     ref_is_quasinormal,
     ref_levels,
+    ref_local_data,
     ref_norm,
     ref_norms_squared,
 )
@@ -122,8 +123,15 @@ def outcome(fn, *args):
     return cli.dumps_canonical(r.to_json()) if isinstance(r, classify.Verdict) else r
 
 
+def as_bytes(arrays):
+    """Arrays compared bit for bit, NaN included."""
+    return tuple(np.asarray(a).tobytes() for a in arrays)
+
+
 def assert_matches_reference(w, m, p):
     pairs = {
+        "local_data": (lambda w, m: as_bytes(vars(shift.local_data(w, m)).values()),
+                       lambda w, m: as_bytes(ref_local_data(w, m)), ()),
         "norms_squared": (shift.shift_norms_squared, ref_norms_squared, ()),
         "norm": (shift.norm, ref_norm, ()),
         "fredholm": (shift.fredholm_data, ref_fredholm_data, ()),
@@ -251,13 +259,8 @@ def test_explicit_trees_match_reference_build(wm):
     assert_matches_reference_build(wm[1])
 
 
-def test_lazy_predicates_stop_at_first_violation():
-    # every weight past index 3 raises; the scans that stop early never ask
-    def fn(i):
-        if i > 3:
-            raise RuntimeError(f"weight {i} evaluated")
-        return 0.8
-    rule = BranchRule((0.5,), SequenceTail(fn), 1)
+def test_predicates_raise_what_the_binding_raises():
+    rule = BranchRule((0.5,), ConstantTail(0.8), 1)
     w = WeightSystem(rules=BroomWeights(2, 1, (rule, rule), BranchRule((1.0,), None, 0)))
     m = ts.broom(2, 1).materialize(8)
     iso = classify.is_isometry(w, m)
@@ -266,8 +269,18 @@ def test_lazy_predicates_stop_at_first_violation():
     co = classify.is_cohyponormal(w, m)
     assert co.witness == {"reason": "rooted and nonzero", "vertex": "0"}
     assert co == ref_chain_verdict(w, m, False, TOL)
-    with pytest.raises(RuntimeError):
-        shift.norm(w, m)  # the array sweep resolves every weight
+
+    # every weight past index 3 raises: a reader that would stop at vertex "0"
+    # raises it too, as the binding of the weights to the prefix does
+    def fn(i):
+        if i > 3:
+            raise RuntimeError(f"weight {i} evaluated")
+        return 0.8
+    rule = BranchRule((0.5,), SequenceTail(fn), 1)
+    w = WeightSystem(rules=BroomWeights(2, 1, (rule, rule), BranchRule((1.0,), None, 0)))
+    for read in (classify.is_isometry, classify.is_cohyponormal, shift.norm):
+        with pytest.raises(RuntimeError, match="weight 4 evaluated"):
+            read(w, m)
 
 
 # -- non-finite input is refused at the boundary ------------------------------

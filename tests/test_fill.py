@@ -129,11 +129,75 @@ def test_the_fill_reads_no_vertex_id(monkeypatch):
         (WeightSystem(rules=ChainWeights("z_minus", neg=BranchRule((), ConstantTail(2.0), 0))), ts.zminus()),
         (WeightSystem(rules=BinaryWeights(one, 0.5)), ts.binary()),
     ]
+    readers = (classify.is_isometry, classify.is_quasinormal, classify.is_normal, classify.is_cohyponormal,
+               lambda w, m: shift.power_norm_squared(w, m, m.tree.root, 3),
+               lambda w, m: classify.stieltjes_necessary(w, m, m.tree.root, 3))
     for w, fam in cases:
         m = fam.materialize(5)
         shift.local_data(w, m)
-        if m.rooted():  # a rooted shift's first nonzero weight is read off the fill
-            classify.is_normal(w, m)
+        for read in readers:  # rooted and rootless: every reader reads the binding
+            read(w, m)
+    assert {fam.rooted() for _, fam in cases} == {True, False}
+
+
+def test_one_binding_per_weights_and_prefix(monkeypatch):
+    binds = []
+    bind = shift._bind
+    monkeypatch.setattr(shift, "_bind", lambda w, m: binds.append(w) or bind(w, m))
+    rules = BroomWeights(2, 1, (BranchRule((0.5,), ConstantTail(1.0), 1),) * 2, BranchRule((1.0,), None, 0))
+    base = {"(1,1)": 2.0}
+    w, m = WeightSystem(base=base, rules=rules), ts.broom(2, 1).materialize(6)
+    loc = shift.local_data(w, m)
+    for read in (shift.norm, shift.fredholm_data, shift.domain_inclusion_criteria, classify.is_isometry,
+                 classify.is_quasinormal, classify.is_normal, classify.is_hyponormal):
+        read(w, m)
+    assert shift.local_data(w, m) is loc and binds == [w]
+    # an equal system is another object: it gets its own binding
+    other = WeightSystem(base=base, rules=rules)
+    assert other == w and shift.local_data(other, m) is not loc and binds == [w, other]
+    assert np.array_equal(shift.local_data(w, m).mod, loc.mod, equal_nan=True) and len(binds) == 3
+    # neither the weights nor the arrays can change under a binding
+    base["(1,1)"] = 5.0
+    assert w.weight("(1,1)") == 2.0
+    with pytest.raises(TypeError):
+        w.base["(1,1)"] = 5.0
+    for a in (loc.mod, loc.mod2, loc.norms2):
+        with pytest.raises(ValueError):
+            a[1] = 0.0
+
+
+def test_every_reader_raises_what_the_binding_raises():
+    # a is incomplete (a child of it is missing from the truncation), and its
+    # child c has no weight: the binding resolves every weight of the prefix
+    t = tree.validate(["r", "a", "b", "c"], [("r", "a"), ("a", "b"), ("a", "c")])
+    m = tree.explicit_truncation(t, ["a"])
+    w = WeightSystem(base={"a": 1.0, "b": 1.0})
+    readers = (shift.local_data, shift.norm, shift.shift_norms_squared, shift.domain_inclusion_criteria,
+               classify.is_isometry, classify.is_quasinormal, classify.is_normal, classify.is_cohyponormal,
+               classify.is_hyponormal, lambda w, m: classify.is_p_hyponormal(w, m, 2.0),
+               lambda w, m: shift.power_norm_squared(w, m, "r", 1))
+    for read in readers:
+        with pytest.raises(UnknownWeightError, match="'c'"):
+            read(w, m)
+    rootless = tree.explicit_truncation(t, ["a"], rootless=True)
+    for read in (classify.is_normal, classify.is_cohyponormal):
+        with pytest.raises(UnknownWeightError, match="'c'"):
+            read(w, rootless)
+
+
+def test_rooted_binary_witness_past_a_zero_prefix():
+    # base zeroes the prefix and the spine tail is 0: the first nonzero weight
+    # is an off-spine one past the prefix, named by its id at every depth
+    rules = BinaryWeights(BranchRule((), ConstantTail(0.0), 1), 1.0)
+    for d in range(1, 17):
+        m = ts.binary().materialize(d)
+        w = WeightSystem(base=dict.fromkeys(m.tree.parent, 0.0), rules=rules)
+        want = {"reason": "rooted and nonzero", "vertex": f"({d + 1},2)"}
+        for fn in (classify.is_normal, classify.is_cohyponormal):
+            assert fn(w, m).to_json() == {"verdict": "no", "exact": True, "witness": want}
+        if d <= 8:
+            assert ref_chain_verdict(w, m, True, classify.REL_TOL).witness == want
+        assert w.weight(want["vertex"]) == 1.0
 
 
 def test_rules_of_another_family_give_no_fill():
