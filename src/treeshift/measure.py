@@ -3,7 +3,8 @@
 Moments of negative order follow the convention 1/0 = inf, so a measure with
 an atom at 0 has infinite negative moments.  The positive-semidefiniteness
 test used by :func:`is_stieltjes` runs on a small hand-rolled Jacobi
-eigensolver; the LAPACK-backed check lives in :mod:`treeshift.oracle` so the
+eigensolver (O(n) per rotation, stopping after the first sweep that rotates
+nothing); the LAPACK-backed check lives in :mod:`treeshift.oracle` so the
 two routes stay independent.
 """
 
@@ -14,8 +15,6 @@ import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 __all__ = [
     "AtomicMeasure",
@@ -160,39 +159,43 @@ class SequenceVerdict:
         return self.ok
 
 
-def jacobi_min_eig(a: np.ndarray, sweeps: int = 64, eps: float = 1e-14) -> float:
-    """Minimum eigenvalue of a small real symmetric matrix by cyclic Jacobi."""
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
+def jacobi_min_eig(a: Sequence[Sequence[float]], sweeps: int = 64, eps: float = 1e-14) -> float:
+    """Minimum eigenvalue of a small real symmetric matrix by cyclic Jacobi.
+
+    Rotates (p, q) when |a_pq| > eps * (|a_pp| + |a_qq| + 1), in place on
+    rows and columns p and q of Python floats (O(n) work), zeroing a_pq.  The
+    loop stops after the first sweep that rotates nothing, as every later
+    sweep would leave the matrix as it is; ``sweeps`` only caps it.  A
+    matrix with a non-finite entry gives NaN.
+    """
+    a = [[float(x) for x in row] for row in a]
+    n = len(a)
+    if not all(math.isfinite(x) for row in a for x in row):
+        return math.nan
     for _ in range(sweeps):
-        off = 0.0
+        rotated = False
         for p in range(n - 1):
+            ap = a[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
-                off += apq * apq
-                if abs(apq) <= eps * (abs(a[p, p]) + abs(a[q, q]) + 1.0):
+                aq, apq = a[q], ap[q]
+                if abs(apq) <= eps * (abs(ap[p]) + abs(aq[q]) + 1.0):
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                rotated = True
+                theta = (aq[q] - ap[p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = (a + a.T) / 2.0
-        if off <= eps * eps:
+                for k in range(n):
+                    if k != p and k != q:
+                        akp, akq = ap[k], aq[k]
+                        ap[k] = a[k][p] = c * akp - s * akq
+                        aq[k] = a[k][q] = s * akp + c * akq
+                ap[p] -= t * apq
+                aq[q] += t * apq
+                ap[q] = aq[p] = 0.0
+        if not rotated:
             break
-    return float(np.min(np.diag(a)))
-
-
-def _hankel(values: Sequence[float], start: int, order: int) -> np.ndarray:
-    return np.array(
-        [[values[start + i + j] for j in range(order)] for i in range(order)]
-    )
+    return min(a[i][i] for i in range(n))
 
 
 def is_stieltjes(p: MomentPrefix, tol: float = PSD_TOL) -> SequenceVerdict:
@@ -208,23 +211,14 @@ def is_stieltjes(p: MomentPrefix, tol: float = PSD_TOL) -> SequenceVerdict:
     n = len(vals)
     scale = 1.0 + max(abs(v) for v in vals)
     thr = -tol * scale
-    max_order = 0
-    for order in range(1, n + 1):
-        any_matrix = False
+    top = (n + 1) // 2  # the largest order of a shift-0 matrix
+    for order in range(1, top + 1):
         for shift in (0, 1):
-            if shift + 2 * (order - 1) >= n:
-                continue
-            any_matrix = True
-            ev = jacobi_min_eig(_hankel(vals, shift, order))
-            if ev < thr:
-                return SequenceVerdict(
-                    ok=False, checked_to=len(vals) - 1, witness=(shift, order), value=ev
-                )
-        if any_matrix:
-            max_order = order
-        else:
-            break
-    return SequenceVerdict(ok=True, checked_to=len(vals) - 1, witness=None, value=float(max_order))
+            if shift + 2 * (order - 1) < n:
+                ev = jacobi_min_eig([vals[shift + i : shift + i + order] for i in range(order)])
+                if ev < thr:
+                    return SequenceVerdict(ok=False, checked_to=n - 1, witness=(shift, order), value=ev)
+    return SequenceVerdict(ok=True, checked_to=n - 1, witness=None, value=float(top))
 
 
 def is_completely_alternating(p: MomentPrefix, tol: float = PSD_TOL) -> SequenceVerdict:

@@ -781,8 +781,9 @@ class BinaryWeights(_FamilyRules):
         stands for them."""
         self._check_family(m, "binary")
         spine = (1 << np.arange(1, m.depth + 1)) - 1
-        off = np.setdiff1d(np.arange(1, len(m.tree.vertices)), spine)
-        return [Run(self.spine, 1, spine, 0), Run(self.off_rule, 0, off, 0, past=f"({m.depth + 1},2)")]
+        off = np.ones(len(m.tree.vertices), bool)
+        off[0] = off[spine] = False
+        return [Run(self.spine, 1, spine, 0), Run(self.off_rule, 0, np.flatnonzero(off), 0, past=f"({m.depth + 1},2)")]
 
     def norm2_sup(self, m: Materialized) -> tuple:
         s, ok = self.spine.sup_abs(self.runs(m)[0].stop)

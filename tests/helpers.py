@@ -3,10 +3,12 @@ per-vertex reference implementations of the closed forms."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import classify as cls
@@ -139,6 +141,32 @@ def random_weights(rng: random.Random, t, lo=0.0, hi=3.0, zeros=0.0):
 
 
 TWO_ATOM = AtomicMeasure.from_pairs([(0.5, 0.5), (1.0, 0.5)])
+
+
+MODULI = (0.5, 1.0, 1.5, 2.0)  # repeated moduli make tied eigenvalues and witnesses
+
+
+@st.composite
+def truncations(draw):
+    """A random explicit truncation of up to 150 vertices and its weights."""
+    n = draw(st.integers(2, 150))
+    span = draw(st.sampled_from([1, 3, 40, n]))  # a parent among the last `span` vertices
+    incomplete = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    discrete = draw(st.booleans())
+    phases = draw(st.booleans())
+    rootless = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(verts[i - 1 - rng.randrange(min(i, span))], verts[i]) for i in range(1, n)]
+    t = tree.validate(verts, edges)
+    cut = [v for v in verts if rng.random() < incomplete]
+    m = tree.explicit_truncation(t, cut, rootless=rootless)
+    base = {}
+    for v in verts[1:]:
+        r = 0.0 if rng.random() < zeros else (rng.choice(MODULI) if discrete else rng.uniform(0.1, 3.0))
+        base[v] = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if phases else r
+    return m, WeightSystem(base=base)
 
 
 # -- canonical order, built the direct way ------------------------------------

@@ -302,6 +302,16 @@ def test_cli_norm_of_a_chain_without_a_rule(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == '{"exact": false, "norm": 1.0}'
 
 
+def test_binary_off_spine_run_is_every_position_but_the_root_and_the_spine():
+    rules = BinaryWeights(BranchRule((), ConstantTail(1.0), 1), 1.0)
+    for d in range(1, 17):
+        m = ts.binary().materialize(d)
+        spine = (1 << np.arange(1, d + 1)) - 1
+        want = np.setdiff1d(np.arange(1, len(m.tree.vertices)), spine)
+        off = rules.runs(m)[1].at
+        assert off.dtype == want.dtype and np.array_equal(off, want)
+
+
 # -- every reader of the rules starts past the prefix ---------------------------
 
 

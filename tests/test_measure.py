@@ -169,6 +169,76 @@ def test_jacobi_matches_lapack():
             )
 
 
+# -- the Hankel ladder against LAPACK at every order ---------------------------
+
+model_atoms = st.lists(  # model-tails' range: points and masses in [0.05, 2]
+    st.tuples(st.floats(min_value=0.05, max_value=2.0), st.floats(min_value=0.05, max_value=2.0)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def moment_prefixes(draw):
+    """An order-12 moment prefix of a measure with r <= 4 atoms, and a copy
+    whose entry k >= 2r is lowered: the Hankel matrix with t_k in its corner
+    has order > r, so it is singular, and lowering the corner makes it
+    indefinite, so the copy is not a moment sequence."""
+    mu = AtomicMeasure.from_pairs(draw(model_atoms))
+    vals = [moment(mu, n) for n in range(13)]
+    k = draw(st.integers(2 * len(mu.atoms), 12))
+    bad = list(vals)
+    bad[k] *= draw(st.floats(min_value=0.5, max_value=0.999))
+    return MomentPrefix.of(vals), MomentPrefix.of(bad)
+
+
+def hankels(p):
+    """(shift, order, matrix) in the order the ladder visits them."""
+    vals, n = p.values, len(p.values)
+    for order in range(1, (n + 1) // 2 + 1):
+        for shift in (0, 1):
+            if shift + 2 * (order - 1) < n:
+                yield shift, order, [list(vals[shift + i : shift + i + order]) for i in range(order)]
+
+
+@settings(max_examples=80, derandomize=True)
+@given(moment_prefixes())
+def test_jacobi_ladder_matches_lapack_at_every_order(prefixes):
+    for p in prefixes:
+        seen = set()
+        for shift, order, h in hankels(p):
+            seen.add((shift, order))
+            ev = jacobi_min_eig(h)
+            scale = 1.0 + max(abs(x) for row in h for x in row)
+            assert abs(ev - float(np.linalg.eigvalsh(np.array(h))[0])) <= 1e-12 * scale
+            assert jacobi_min_eig(h, sweeps=8) == ev  # convergence, not the cap, ends the loop
+            assert jacobi_min_eig(np.array(h)) == ev
+        assert seen == {(s, o) for o in range(1, 8) for s in (0, 1)} - {(1, 7)}
+
+
+@settings(max_examples=80, derandomize=True)
+@given(moment_prefixes())
+def test_ladder_verdict_matches_the_lapack_ladder(prefixes):
+    # the same ladder on oracle.hankel_min_eig: every matrix whose least
+    # eigenvalue is clear of 0 must be passed or failed as LAPACK says
+    for p in prefixes:
+        got = is_stieltjes(p)
+        scale = 1.0 + max(abs(v) for v in p.values)
+        for shift, order, _ in hankels(p):
+            ev = oracle.hankel_min_eig(MomentPrefix.of(p.values[: shift + 2 * order - 1]), shift)
+            if abs(ev) > 1e-6 * scale:
+                assert (got.witness == (shift, order)) == (ev < 0)
+            if got.witness == (shift, order):
+                break
+        else:
+            assert got.ok and got.value == 7.0
+
+
+def test_jacobi_of_a_non_finite_matrix_is_nan():
+    assert math.isnan(jacobi_min_eig([[1.0, math.inf], [math.inf, 1.0]]))
+    assert math.isnan(jacobi_min_eig(np.array([[1.0, math.nan, 2.0], [math.nan, 2.0, 0.0], [2.0, 0.0, 1.0]])))
+
+
 def test_json_round_trip():
     mu = AtomicMeasure.from_pairs([(0.5, 0.25), (2.0, 1.5)])
     assert AtomicMeasure.from_json(mu.to_json()) == mu

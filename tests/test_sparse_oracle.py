@@ -8,11 +8,8 @@ violation.  A binary prefix of depth 12 checks the sizes the dense matrices
 could not hold.
 """
 
-import cmath
 import json
-import math
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -39,34 +36,10 @@ from helpers import (
     ref_restricted,
     ref_selfcommutator_check,
     ref_witness_block_min,
+    truncations,
 )
 
 TOL = 1e-10  # the oracle's default eigenvalue tolerance
-MODULI = (0.5, 1.0, 1.5, 2.0)  # repeated moduli make tied eigenvalues and witnesses
-
-
-@st.composite
-def truncations(draw):
-    n = draw(st.integers(2, 150))
-    span = draw(st.sampled_from([1, 3, 40, n]))  # a parent among the last `span` vertices
-    incomplete = draw(st.sampled_from([0.0, 0.05, 0.3]))
-    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
-    discrete = draw(st.booleans())
-    phases = draw(st.booleans())
-    rootless = draw(st.booleans())
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    verts = [f"v{i}" for i in range(n)]
-    edges = [(verts[i - 1 - rng.randrange(min(i, span))], verts[i]) for i in range(1, n)]
-    t = tree.validate(verts, edges)
-    cut = [v for v in verts if rng.random() < incomplete]
-    m = tree.explicit_truncation(t, cut, rootless=rootless)
-    base = {}
-    for v in verts[1:]:
-        r = 0.0 if rng.random() < zeros else (rng.choice(MODULI) if discrete else rng.uniform(0.1, 3.0))
-        base[v] = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if phases else r
-    return m, WeightSystem(base=base)
-
-
 def _same_eig_verdict(got, want, scale):
     assert abs(got.min_eig - want.min_eig) <= 1e-12 * scale
     assert got.ok == want.ok
