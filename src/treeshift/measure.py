@@ -1,19 +1,22 @@
 """Finitely atomic measures, moments, and moment-sequence tests.
 
 Moments of negative order follow the convention 1/0 = inf, so a measure with
-an atom at 0 has infinite negative moments.  The positive-semidefiniteness
-test used by :func:`is_stieltjes` runs on a small hand-rolled Jacobi
-eigensolver (O(n) per rotation, stopping after the first sweep that rotates
-nothing); the LAPACK-backed check lives in :mod:`treeshift.oracle` so the
-two routes stay independent.
+an atom at 0 has infinite negative moments, and a :class:`MomentPrefix`
+holds finite terms only.  The positive-semidefiniteness test used by
+:func:`is_stieltjes` runs on a small hand-rolled Jacobi eigensolver (O(n) per
+rotation, stopping after the first sweep that rotates nothing); the
+LAPACK-backed check lives in :mod:`treeshift.oracle` so the two routes stay
+independent.  The alternating sequence a_n has one evaluation,
+:func:`ca_sequence`, which :func:`ca_term` reads.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -28,7 +31,15 @@ __all__ = [
     "backward_extend_stieltjes",
     "backward_extend_ca",
     "jacobi_min_eig",
+    "REL_TOL",
 ]
+
+REL_TOL = 1e-10
+"""The slack of the closed-form comparisons (``classify.REL_TOL``), the broom
+models' conditions (``models.TOL``) and the [0, 1] support of a ``ca_ratio``
+tail, one number so that a model built by ``models`` passes the predicate that
+tests the same condition.  A sum of d squared moduli is off by about
+d * 2.2e-16, so this stays three orders above rounding up to degree 10^3."""
 
 PSD_TOL = 1e-9
 """Slack of the sequence tests, relative to 1 + max |t_n|: an alternating
@@ -138,6 +149,9 @@ class MomentPrefix:
     def __post_init__(self):
         if len(self.values) == 0:
             raise EmptyPrefixError("empty prefix")
+        bad = next((v for v in self.values if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValueError(f"prefix term {bad!r} is not finite")
 
     @staticmethod
     def of(values: Sequence[float]) -> "MomentPrefix":
@@ -277,34 +291,19 @@ def backward_extend_ca(a0: float, t: AtomicMeasure, tol: float = 1e-12) -> Atomi
 
 
 def ca_term(a0: float, t: AtomicMeasure, n: int) -> float:
-    """a_n = a_0 + integral of (1 + s + ... + s^(n-1)) d(tau)."""
-    acc = a0
-    for p, w in t.atoms:
-        acc += w * sum(p ** k for k in range(n))
-    return float(acc)
+    """a_n = a_0 + integral of (1 + s + ... + s^(n-1)) d(tau); a_0 for n <= 0."""
+    return ca_sequence(a0, t, max(n, 0))[-1]
 
 
 def ca_sequence(a0: float, t: AtomicMeasure, upto: int) -> list:
-    """[a_0, ..., a_upto] of :func:`ca_term`, the same floats, in O(upto).
+    """[a_0, ..., a_upto] of :func:`ca_term`, in O(upto).
 
-    Each atom's power sums 1 + s + ... + s^(n-1) run along, adding the terms
-    in the order ``sum`` adds them.  From Python 3.12 on ``sum`` compensates
-    its float additions, which a running sum does not; there each term is
-    taken on its own.
+    Each atom's power sums 1 + s + ... + s^(n-1) run along, added term by
+    term from the integer 0, so the floats do not depend on whether the
+    interpreter's ``sum`` compensates (it does from Python 3.12 on).
     """
-    if sys.version_info >= (3, 12):
-        return [ca_term(a0, t, n) for n in range(upto + 1)]
-    runs = []
-    for p, _ in t.atoms:
-        acc, run = 0, [0]  # sum() of no terms is the integer 0
-        for k in range(upto):
-            acc += p ** k
-            run.append(acc)
-        runs.append(run)
-    out = []
-    for n in range(upto + 1):
-        acc = a0
-        for (_, w), run in zip(t.atoms, runs):
-            acc += w * run[n]
-        out.append(float(acc))
-    return out
+    out = [a0] * (upto + 1)
+    for p, w in t.atoms:
+        sums = accumulate(map(pow, repeat(p), range(upto)), initial=0)
+        out = list(map(add, out, map(mul, repeat(w), sums)))
+    return list(map(float, out))

@@ -5,6 +5,12 @@ moment-model (subnormal) shifts, the other alternating-model (completely
 hyperexpansive) shifts.  Both emit weights through ratio tails, so the
 resulting systems are exact at every depth, and both default to the extremal
 choice of the last free trunk weight.
+
+Each condition of the models is stated here once, for the constructors and for
+``classify.subnormal_on_T`` and ``classify.chex_on_T``: the branch measures
+(:func:`_branch_measures`), the first-level sums (:func:`_neg_sum`), the
+drained mass (:func:`_drained`) and k-step backward extendibility
+(:func:`backward_extension`).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .measure import AtomicMeasure, ConditionViolated, NotProbabilityError, moment
+from .measure import REL_TOL as TOL, AtomicMeasure, ConditionViolated, NotProbabilityError, moment
 from .shift import (
     BranchRule,
     BroomWeights,
@@ -39,12 +45,6 @@ __all__ = [
     "bridge_classical",
     "classical_weights",
 ]
-
-TOL = 1e-10
-"""Slack of the model conditions (mass 1, consistency sums, theta bound), short
-sums off by a few ulps; equal to ``classify.REL_TOL``, so that a model built
-here passes the predicate that tests the same condition."""
-
 
 class NoAdmissibleLambda1Error(ValueError):
     pass
@@ -97,8 +97,30 @@ def model_tail(mu: AtomicMeasure, chex: bool = False):
     return CaRatioTail(mu) if chex else MomentRatioTail(mu)
 
 
+def _branch_measures(eta: int, measures: Sequence[AtomicMeasure], chex: bool, tol: float = TOL) -> tuple:
+    """The measures of a model on the broom with ``eta`` branches, one per
+    branch: probability measures (mass 1 within ``tol``), or for ``chex``
+    measures supported in [0, 1 + tol]."""
+    measures = tuple(measures)
+    if len(measures) != eta:
+        raise ValueError(f"need {eta} measures")
+    for i, mu in enumerate(measures, start=1):
+        if chex:
+            if mu.atoms and mu.support_max() > 1.0 + tol:
+                raise ValueError(f"measure {i} must live on [0,1]")
+        elif not mu.is_probability(tol):
+            raise NotProbabilityError(i, mu.total_mass())
+    return measures
+
+
 def _neg_sum(lambda1: Sequence[float], measures: Sequence[AtomicMeasure], order: int) -> float:
+    """sum_i lambda_i^2 * integral of s^-order d(mu_i)."""
     return sum(c * c * moment(mu, -order) for c, mu in zip(lambda1, measures))
+
+
+def _drained(tau: AtomicMeasure, k: int) -> float:
+    """The drained mass sum_{l <= k} integral of s^-l d(tau); inf with an atom at 0."""
+    return sum(moment(tau, -l) for l in range(1, k + 1))
 
 
 def construct_subnormal(
@@ -115,14 +137,9 @@ def construct_subnormal(
     condition) or from the canonical normalized choice.  For a finite trunk
     the last free weight is ``theta``, by default the extremal endpoint.
     """
-    measures = tuple(measures)
-    if len(measures) != eta:
-        raise ValueError(f"need {eta} measures")
-    for i, mu in enumerate(measures, start=1):
-        if not mu.is_probability(TOL):
-            raise NotProbabilityError(i, mu.total_mass())
-    horizon = kappa + 1 if kappa != math.inf else 1
-    if any(moment(mu, -int(horizon)) == math.inf for mu in measures):
+    measures = _branch_measures(eta, measures, chex=False)
+    # kappa + 1 steps back; for an atomic measure every k answers alike
+    if not all(backward_extension(mu, math.inf, "subnormal") for mu in measures):
         raise NoAdmissibleLambda1Error(
             "an atom at 0 makes the required negative moments infinite"
         )
@@ -202,28 +219,19 @@ def construct_subnormal(
 def exists_lambda1(measures: Sequence[AtomicMeasure], kappa) -> tuple:
     """Can admissible first-level weights exist?  Returns (yes, witness)."""
     measures = tuple(measures)
-    if kappa == math.inf:
-        ok = all(mu.atoms and mu.support_min() > 0 for mu in measures)
-    else:
-        ok = all(
-            mu.atoms and moment(mu, -(int(kappa) + 1)) < math.inf for mu in measures
-        )
-    if not ok:
+    if not all(mu.atoms and backward_extension(mu, math.inf, "subnormal") for mu in measures):
         return False, None
     res = construct_subnormal(len(measures), kappa, measures)
     return True, res.lambda1
 
 
 def _zeta(t: Sequence[float], taus: Sequence[AtomicMeasure], k: int) -> float:
-    return sum(
-        ti * ti * (1.0 - sum(moment(tau, -l) for l in range(1, k + 1)))
-        for ti, tau in zip(t, taus)
-    )
+    return sum(ti * ti * (1.0 - _drained(tau, k)) for ti, tau in zip(t, taus))
 
 
 def _check_t(t, taus, kappa):
     ssum = sum(x * x for x in t)
-    first = 1.0 + sum(x * x * moment(tau, -1) for x, tau in zip(t, taus))
+    first = 1.0 + _neg_sum(t, taus, 1)
     if kappa == 0:
         if ssum < first - TOL:
             raise TConditionsViolatedError("the consistency inequality", f"{ssum} < {first}")
@@ -251,12 +259,7 @@ def construct_chex(
     if kappa == math.inf:
         raise ValueError("an infinite trunk admits only isometries; use kappa < inf")
     kappa = int(kappa)
-    taus = tuple(taus)
-    if len(taus) != eta:
-        raise ValueError(f"need {eta} measures")
-    for i, tau in enumerate(taus, start=1):
-        if tau.atoms and tau.support_max() > 1.0 + TOL:
-            raise ValueError(f"measure {i} must live on [0,1]")
+    taus = _branch_measures(eta, taus, chex=True)
     if t is None:
         t = solve_t_sequence(taus, kappa)
         if t is None:
@@ -283,7 +286,7 @@ def construct_chex(
         if theta is not None:
             raise ThetaOutOfRangeError(theta, None, "nonexistent (no trunk)")
         ssum = sum(x * x for x in t)
-        extremal = abs(ssum - (1.0 + sum(x * x * moment(tau, -1) for x, tau in zip(t, taus)))) <= TOL * max(1.0, ssum)
+        extremal = abs(ssum - (1.0 + _neg_sum(t, taus, 1))) <= TOL * max(1.0, ssum)
         theta_out = None
     else:
         zetas = {k: _zeta(t, taus, k) for k in range(1, kappa + 2)}
@@ -326,10 +329,7 @@ def solve_t_sequence(taus: Sequence[AtomicMeasure], kappa: int) -> Optional[tupl
     """
     taus = tuple(taus)
     kappa = int(kappa)
-    drains = []
-    for tau in taus:
-        d = sum(moment(tau, -l) for l in range(1, kappa + 2))
-        drains.append(d)
+    drains = [_drained(tau, kappa + 1) for tau in taus]
     if any(d == math.inf for d in drains):
         return None
     if all(d >= 1.0 for d in drains):
@@ -375,8 +375,7 @@ def backward_extension(mu: AtomicMeasure, k, flavor: str) -> bool:
     if flavor == "chex":
         if not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer for the expansive flavor")
-        drained = sum(moment(mu, -l) for l in range(1, k + 1))
-        return drained < 1.0
+        return _drained(mu, k) < 1.0
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -400,25 +399,18 @@ def bridge_classical(measures: Sequence[AtomicMeasure], kappa, flavor: str) -> M
     if eta < 2:
         raise ValueError("need at least two branches")
     if flavor == "subnormal":
-        if kappa == math.inf:
-            horizon_ok = lambda mu: mu.support_min() > 0
-        else:
-            horizon_ok = lambda mu: moment(mu, -(int(kappa) + 1)) < math.inf
         for i, mu in enumerate(measures, start=1):
-            if not mu.atoms or not horizon_ok(mu):
+            if not mu.atoms or not backward_extension(mu, math.inf, "subnormal"):
                 raise ImpossibleError(
                     f"no {kappa}+1-step extension (atom at 0)", branch=i
                 )
         return construct_subnormal(eta, kappa, measures)
     if flavor == "chex":
         kappa = int(kappa)
-        drains = [
-            sum(moment(tau, -l) for l in range(1, kappa + 2)) for tau in measures
-        ]
-        for i, d in enumerate(drains, start=1):
-            if d == math.inf:
+        for i, tau in enumerate(measures, start=1):
+            if _drained(tau, kappa + 1) == math.inf:
                 raise ImpossibleError("infinite drained mass (atom at 0)", branch=i)
-        if all(d >= 1.0 for d in drains):
+        if not any(backward_extension(tau, kappa + 1, "chex") for tau in measures):
             raise ImpossibleError(
                 "no branch admits the required backward extension (all drained masses >= 1)"
             )

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .measure import AtomicMeasure, atoms_moment, ca_sequence, ca_term
+from .measure import REL_TOL, AtomicMeasure, atoms_moment, ca_sequence
 from .tree import IndeterminateError, Materialized, TreeFamily, UnknownVertexError, vertex_key
 
 __all__ = [
@@ -330,14 +330,11 @@ class CaRatioTail:
     tau: AtomicMeasure
 
     def __post_init__(self):
-        if self.tau.support_max() > 1.0 + 1e-10:
+        if self.tau.support_max() > 1.0 + REL_TOL:
             raise ValueError(f"ca_ratio tail measure must live on [0,1]: atom at {self.tau.support_max()!r}")
 
-    def _a(self, n: int) -> float:
-        return ca_term(1.0, self.tau, n)
-
     def value(self, idx: int) -> float:
-        return math.sqrt(self._a(idx - 1) / self._a(idx - 2))
+        return self.values(idx, idx + 1)[0]
 
     def values(self, start: int, stop: int) -> list:
         a = ca_sequence(1.0, self.tau, max(stop - 2, 0))  # a_n for n <= 0 is a_0
@@ -987,14 +984,20 @@ class LocalData:
     norms2: np.ndarray
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 by Python's pow, as the scalar formulas take it (numpy's square
-    differs in the last bit), once for each run of equal neighbours."""
+def _per_run(x: np.ndarray, f) -> np.ndarray:
+    """f(v) elementwise on Python floats, called once for each run of equal
+    neighbours."""
     new = np.ones(len(x), bool)
     new[1:] = x[1:] != x[:-1]
     starts = np.flatnonzero(new)
-    sq = np.array([v ** 2 for v in x[starts].tolist()], dtype=float)
-    return np.repeat(sq, np.diff(np.append(starts, len(x))))
+    out = np.array([f(v) for v in x[starts].tolist()], dtype=float)
+    return np.repeat(out, np.diff(np.append(starts, len(x))))
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 by Python's pow, as the scalar formulas take it (numpy's square
+    differs in the last bit); an overflow raises."""
+    return _per_run(x, lambda v: v ** 2)
 
 
 def local_data(w: WeightSystem, m: Materialized) -> LocalData:

@@ -297,6 +297,16 @@ def test_sequence_necessary_tests():
     assert classify.ca_necessary(w2, m2, "0", 10).ok
 
 
+def test_sequence_tests_refuse_overflowing_powers():
+    # ||S^n e_u||^2 = 1e200 n overflows to inf at n = 2; the ladder read it as ok
+    m = ts.zplus().materialize(8)
+    w = WeightSystem(base={v: 1e100 for v in m.tree.vertices if v != m.tree.root})
+    with pytest.raises(ValueError, match="not finite"):
+        classify.stieltjes_necessary(w, m, "0", 4)
+    with pytest.raises(ValueError, match="not finite"):
+        classify.ca_necessary(w, m, "0", 4)
+
+
 def test_paranormal():
     fam, w = paranormal_not_hyponormal()
     m = fam.materialize(12)

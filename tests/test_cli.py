@@ -132,6 +132,22 @@ def test_construct_bad_theta(capsys, tmp_path):
     assert "ThetaOutOfRange" in json.loads(out)["error"]["message"]
 
 
+def test_construct_subnormal_then_classify_at_the_mass_slack(capsys, tmp_path):
+    # a mass of 1 + 5e-11 is inside the constructor's slack, and so inside the predicate's
+    measures = [{"atoms": [[0.5, 0.5], [1.0, 0.50000000005]]}, {"atoms": [[1.0, 1.0]]}]
+    spec = _write(tmp_path, "spec.json", {"eta": 2, "kappa": 1, "measures": measures})
+    code, out = _run(capsys, ["construct-subnormal", spec])
+    assert code == 0
+    blob = json.loads(out)
+    tree = _write(tmp_path, "t.json", dict(blob["tree"], kind="family", family="t_eta_kappa", depth=8))
+    weights = _write(tmp_path, "w.json", blob["weights"])
+    ms = _write(tmp_path, "m.json", {"measures": measures, "flavor": "subnormal"})
+    code, out = _run(capsys, ["classify", tree, weights, "--measures", ms])
+    assert code == 0, out
+    verdict = json.loads(out)["predicates"]["subnormal_model"]
+    assert verdict == {"detail": {"extremal": True}, "exact": True, "verdict": "yes"}
+
+
 def test_construct_chex_cli(capsys, tmp_path):
     spec = _write(
         tmp_path, "spec.json",

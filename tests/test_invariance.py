@@ -45,10 +45,8 @@ def test_phase_stripped_system_reads_the_same(mw):
     assert shift.norm(absw, m) == shift.norm(w, m)
 
 
-# c stays within [1/4, 8]: the comparisons' slack is REL_TOL * max(1, |a|, |b|),
-# whose floor of 1 decides on its own once the squared moduli fall below ~1e-10.
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(truncations(), st.floats(min_value=0.25, max_value=8.0))
+@given(truncations(), st.floats(min_value=1e-100, max_value=1e100))
 def test_scaling_the_weights_scales_only_the_norm(mw, c):
     m, w = mw
     scaled = WeightSystem(base={v: c * lam for v, lam in w.base.items()})
@@ -56,4 +54,4 @@ def test_scaling_the_weights_scales_only_the_norm(mw, c):
         assert verdict_shape(fn(scaled, m)) == verdict_shape(fn(w, m)), name
     got, want = shift.norm(scaled, m), shift.norm(w, m)
     assert got.exact == want.exact
-    assert got.value == pytest.approx(c * want.value, rel=1e-12)
+    assert got.value == pytest.approx(c * want.value, rel=1e-12, abs=0)

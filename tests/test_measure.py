@@ -92,6 +92,16 @@ def test_prefix_guards():
         is_stieltjes(MomentPrefix.of([1.0]), tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_prefix_is_refused(bad):
+    # an infinite term made the ladders' thresholds infinite, so both answered ok
+    for vals in ([1.0, bad, 1.0], [1.0, 0.5, 0.25, bad], [bad, 1.0]):
+        with pytest.raises(ValueError, match="not finite"):
+            MomentPrefix.of(vals)
+        with pytest.raises(ValueError, match="not finite"):
+            MomentPrefix(values=tuple(vals))
+
+
 def test_backward_extend_stieltjes():
     assert backward_extend_stieltjes(AtomicMeasure.delta(1.0)).atoms == ((1.0, 1.0),)
     nu = backward_extend_stieltjes(AtomicMeasure.delta(2.0))
@@ -245,13 +255,18 @@ def test_json_round_trip():
 
 
 def test_ca_terms_keep_the_sequence_floats():
-    # the sequence as a full build took it: each a_n accumulated from a_0
+    # the sequence as a full build took it: each a_n accumulated from a_0,
+    # each power sum added left to right (not by sum(), which compensates
+    # from Python 3.12 on)
     def built(a0, t, upto):
         out = [float(a0)]
         for n in range(1, upto + 1):
             acc = a0
             for p, w in t.atoms:
-                acc += w * sum(p ** k for k in range(n))
+                ps = 0
+                for k in range(n):
+                    ps += p ** k
+                acc += w * ps
             out.append(acc)
         return out
 

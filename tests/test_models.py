@@ -59,6 +59,32 @@ def test_two_atom_round_trip():
         assert res.norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_models_pass_their_own_predicates_at_the_edge_of_the_slack():
+    # a measure the constructor admits, within TOL of the condition, is one the
+    # predicate admits too: mass off by up to TOL, atoms up to 1 + TOL
+    rng = random.Random(19)
+    for kappa in (0, 1, 2, math.inf):
+        for off in (-0.9, -0.5, 0.5, 0.9):
+            mus = []
+            for i in range(2):
+                pts = sorted({round(rng.uniform(0.05, 2.0), 4) for _ in range(rng.randint(1, 3))})
+                raw = [rng.uniform(0.1, 1.0) for _ in pts]
+                c = (1.0 + (off if i == 0 else -off) * models.TOL) / sum(raw)
+                mus.append(AtomicMeasure.from_pairs([(p, c * x) for p, x in zip(pts, raw)]))
+            assert abs(mus[0].total_mass() - 1.0) > 0.4 * models.TOL
+            res = models.construct_subnormal(2, kappa, mus)
+            v = classify.subnormal_on_T(res.weights, res.family.materialize(8), mus)
+            assert v.value == "yes", (kappa, off, v.witness)
+    for kappa in (0, 1, 2):
+        taus = [
+            AtomicMeasure.from_pairs([(0.5, 0.05), (1.0 + models.TOL, 0.1)]),
+            AtomicMeasure.from_pairs([(0.8, 0.02), (1.0 + 0.5 * models.TOL, 0.05)]),
+        ]
+        res = models.construct_chex(2, kappa, taus)
+        v = classify.chex_on_T(res.weights, res.family.materialize(8), taus)
+        assert v.value == "yes" and v.detail["extremal"], (kappa, v.witness)
+
+
 def test_lambda1_validation():
     mus = [AtomicMeasure.delta(1.0), AtomicMeasure.delta(1.0)]
     with pytest.raises(ConditionViolated):
