@@ -132,7 +132,7 @@ def _load_weights(path: str, m, fam):
     must be a non-root vertex of it."""
     with _reading(path) as d:
         w = shift.weights_from_json(d, fam)
-        outside = next((v for v in w.base if v not in m.tree.parent), None)
+        outside = next((v for v in w.base if not m.tree.has_parent(v)), None)
         if outside is not None:
             where = f"the prefix of depth {m.depth}" if fam is not None else "the tree"
             raise ValueError(f"base id {outside!r} is not a non-root vertex of {where}")

@@ -259,6 +259,8 @@ def construct_chex(
     if kappa == math.inf:
         raise ValueError("an infinite trunk admits only isometries; use kappa < inf")
     kappa = int(kappa)
+    if kappa < 0:
+        raise ValueError("kappa must be a nonnegative integer or inf")
     taus = _branch_measures(eta, taus, chex=True)
     if t is None:
         t = solve_t_sequence(taus, kappa)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,19 +63,19 @@ class Truncation:
     ``parent[i]`` is its parent's position, -1 at the root, and ``weight[i]``
     its weight (0 at the root): the matrix has the entry ``weight[i]`` at
     (i, ``parent[i]``) and no other.  ``complete[i]`` is set when all of the
-    vertex's children are present.
+    vertex's children are present.  ``rank`` maps prefix positions to these.
     """
 
     materialized: Materialized
     order: tuple  # BFS vertex ordering
-    index: dict  # vertex -> position
+    rank: np.ndarray
     parent: np.ndarray
     weight: np.ndarray
     complete: np.ndarray
     interior: frozenset
 
     def pos(self, v: str) -> int:
-        return self.index[v]
+        return int(self.rank[self.materialized.tree.positions[v]])
 
 
 @dataclass(frozen=True)
@@ -161,24 +162,32 @@ def truncate(obj, depth: int, weights: Optional[WeightSystem] = None) -> Truncat
         m = as_complete(obj)
     else:
         raise TypeError(f"cannot truncate {type(obj).__name__}")
-    t = m.tree
-    order = [t.root]
-    for u in order:  # the list grows while it is walked: a BFS
-        order.extend(t.children[u])
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    parent = np.fromiter((index.get(t.parent.get(v), -1) for v in order), np.int64, n)
-    weight = np.zeros(n, complex)
+    ar, names = m.arrays, m.tree.vertices
+    bfs, rank = _bfs(ar)
+    order = tuple(names[k] for k in bfs.tolist())
+    parent = np.where(ar.parent[bfs] >= 0, rank[ar.parent[bfs]], -1)
+    weight = np.zeros(len(order), complex)
     if weights is not None:
         weight[1:] = [weights.weight(v) for v in order[1:]]
-    complete = np.fromiter((v in m.complete for v in order), bool, n)
-    interior = frozenset(
-        v for v, inside in zip(order, _interior(m, parent, complete)) if inside
-    )
+    complete = ar.complete[bfs]
+    interior = frozenset(compress(order, _interior(m, parent, complete).tolist()))
     return Truncation(
-        materialized=m, order=tuple(order), index=index, parent=parent, weight=weight,
+        materialized=m, order=order, rank=rank, parent=parent, weight=weight,
         complete=complete, interior=interior,
     )
+
+
+def _bfs(ar) -> tuple:
+    """(positions in BFS order, BFS rank by position): level by level, ranked
+    by the parents' BFS rank; a stable sort keeps siblings in canonical order."""
+    bfs = np.argsort(ar.level, kind="stable")
+    bounds = np.flatnonzero(np.diff(ar.level[bfs], prepend=-1, append=-1))
+    rank = np.zeros(len(bfs), np.int64)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        seg = bfs[lo:hi]
+        bfs[lo:hi] = seg = seg[np.argsort(rank[ar.parent[seg]], kind="stable")]
+        rank[seg] = np.arange(lo, hi)
+    return bfs, rank
 
 
 def _interior(m: Materialized, parent: np.ndarray, complete: np.ndarray) -> np.ndarray:

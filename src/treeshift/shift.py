@@ -842,8 +842,7 @@ class WeightSystem:
         out = np.full(len(m.tree.vertices), np.nan)
         for run in [] if self.rules is None else self.rules.runs(m):
             run.write(out)
-        index = {v: i for i, v in enumerate(m.tree.vertices)} if self.base else {}
-        base = [(index[v], abs(x)) for v, x in self.base.items() if v in m.tree.parent]
+        base = [(m.tree.positions[v], abs(x)) for v, x in self.base.items() if m.tree.has_parent(v)]
         if base:
             at, mods = zip(*base)
             out[list(at)] = mods
@@ -854,7 +853,7 @@ class WeightSystem:
         without rules, when some ``base`` id is not a non-root vertex of
         ``m``, or when some chain runs past ``m`` without a rule for it (no
         rule describes those weights, so answers stay at depth)."""
-        if self.rules is not None and all(v in m.tree.parent for v in self.base) and self.rules.covers(m):
+        if self.rules is not None and all(map(m.tree.has_parent, self.base)) and self.rules.covers(m):
             return self.rules
         return None
 
@@ -1075,14 +1074,14 @@ def _norm(rules, m: Materialized, loc: LocalData) -> NormResult:
 def power_norm_squared(w: WeightSystem, m: Materialized, u: str, n: int) -> float:
     """||S^n e_u||^2 as a sum of squared path products over n levels, taken
     depth first."""
-    if u not in m.tree.children:
+    if u not in m.tree:
         raise UnknownVertexError(u)
     if n == 0:
         return 1.0
     mod2 = local_data(w, m).mod2
     ar, names = m.arrays, m.tree.vertices
     total = 0.0
-    stack = [(names.index(u), 0, 1.0)]
+    stack = [(m.tree.positions[u], 0, 1.0)]
     while stack:
         x, k, acc = stack.pop()
         if k == n:
@@ -1103,12 +1102,9 @@ def polar(w: WeightSystem, m: Materialized) -> tuple:
     else 0; then S e_u = ||S e_u|| (S_pi e_u) on basis vectors.
     """
     norms = {u: math.sqrt(v) for u, v in shift_norms_squared(w, m).items()}
-    pi = {}
-    for v in m.tree.vertices:
-        p = m.tree.parent.get(v)
-        if p is None or p not in norms:
-            continue
-        pi[v] = w.weight(v) / norms[p] if norms[p] > 0 else 0.0
+    names = m.tree.vertices
+    up = {v: names[p] for v, p in zip(names, m.arrays.parent.tolist()) if p >= 0 and names[p] in norms}
+    pi = {v: w.weight(v) / norms[u] if norms[u] > 0 else 0.0 for v, u in up.items()}
     return norms, WeightSystem(base=pi)
 
 
@@ -1184,15 +1180,12 @@ def normalize_weights(w: WeightSystem, m: Materialized) -> tuple:
     The phases satisfy lambda_v beta_v conj(beta_{parent}) = |lambda_v| with
     beta = 1 wherever the weight vanishes, anchored at the materialized root.
     """
-    t = m.tree
-    beta, abs_base = {t.root: 1.0 + 0.0j}, {}
-    order = [t.root]
-    for u in order:  # the list grows while it is walked: a BFS
-        for v in t.children[u]:
-            lam = w.weight(v)
-            abs_base[v] = abs(lam)
-            beta[v] = (abs(lam) / lam) * beta[u] if lam != 0 else 1.0 + 0.0j
-            order.append(v)
+    names, ar = m.tree.vertices, m.arrays
+    beta, abs_base = {m.tree.root: 1.0 + 0.0j}, {}
+    for k in np.argsort(ar.level, kind="stable")[1:].tolist():  # each parent before its children
+        v, lam = names[k], w.weight(names[k])
+        abs_base[v] = abs(lam)
+        beta[v] = (abs(lam) / lam) * beta[names[ar.parent[k]]] if lam != 0 else 1.0 + 0.0j
     return WeightSystem(base=abs_base, rules=w.rules), beta
 
 
@@ -1200,7 +1193,7 @@ def solve_grading(m: Materialized, c: float, anchor: tuple) -> dict:
     """theta with theta_parent - theta_child = c on every materialized edge,
     pinned at the anchor (vertex, value)."""
     v0, val0 = anchor
-    if v0 not in m.tree.children:
+    if v0 not in m.tree:
         raise UnknownVertexError(v0)
     lv = m.levels()
     shift_by = val0 + c * lv[v0]
@@ -1235,9 +1228,10 @@ def _tu_quantities(mods: np.ndarray, child_norms2: np.ndarray):
     norms squared; all g operators are d x d and solved in one batch.  The
     diagonal is assembled from leave-one-out weight sums, which avoids the
     catastrophic cancellation the naive d^2 - d^2 lam^2/(1+n^2) form suffers
-    on fast-growing weights.  Returns per-row (operator norm,
-    Hilbert-Schmidt norm, trace, diagonal sup).  Every reduction runs along
-    C-contiguous rows, so each row's floats are those of a one-vertex call.
+    on fast-growing weights; x is divided by sqrt(1 + ||S e_u||^2) before
+    x x^T, which would overflow first.  Returns per-row (operator norm,
+    diagonal sup).  Every reduction runs along C-contiguous rows, so each
+    row's floats are those of a one-vertex call.
     """
     d2, lam = child_norms2, mods
     g, d = lam.shape
@@ -1247,19 +1241,16 @@ def _tu_quantities(mods: np.ndarray, child_norms2: np.ndarray):
     if d > 1:
         for i in range(d):
             loo[:, i] += np.sum(np.delete(lam2, i, axis=1), axis=1)
-    x = np.sqrt(d2) * lam
-    mat = -(x[:, :, None] * x[:, None, :]) / denom[:, None, None]
+    x = np.sqrt(d2) * lam / np.sqrt(denom)[:, None]
+    mat = -(x[:, :, None] * x[:, None, :])
     diag = np.arange(d)
     mat[:, diag, diag] = d2 * loo / denom[:, None]
-    t_norm = np.linalg.eigvalsh(mat)[:, -1]
-    hs = np.sqrt(np.sum(mat * mat, axis=(1, 2)))
-    tr = np.trace(mat, axis1=1, axis2=2)
-    return t_norm, hs, tr, np.max(d2, axis=1)
+    return np.linalg.eigvalsh(mat)[:, -1], np.max(d2, axis=1)
 
 
-def _rising(vals: np.ndarray, level: np.ndarray, names) -> bool:
+def _rising(vals: np.ndarray, level: np.ndarray, name_of) -> bool:
     """Is the running sup of vals, scanned by (level, name), still strictly
-    growing at the last two entries?
+    growing at the last two entries?  ``name_of(i)`` names entry i.
 
     It last grows where the first maximal entry sits, so only the entries
     scanned after that one need counting.
@@ -1268,10 +1259,10 @@ def _rising(vals: np.ndarray, level: np.ndarray, names) -> bool:
     top = vals.max(initial=-math.inf)
     if len(vals) < 3 or not top > 0.0:
         return False
-    lv, name = min((level[i], names[i]) for i in np.flatnonzero(vals == top).tolist())
+    lv, name = min((level[i], name_of(i)) for i in np.flatnonzero(vals == top).tolist())
     later = int(np.count_nonzero(level > lv))
     if later <= 1:
-        later += sum(1 for i in np.flatnonzero(level == lv).tolist() if names[i] > name)
+        later += sum(1 for i in np.flatnonzero(level == lv).tolist() if name_of(i) > name)
     return later <= 1
 
 
@@ -1280,10 +1271,10 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
 
     fwd: sup_u of sum over children v of |lambda_v|^2/(1 + ||S e_v||^2);
     bwd: sup_u of the norm of the diagonal-minus-rank-one operator, reported
-    together with its Hilbert-Schmidt and trace relaxations and the raw
-    diagonal sup.  Both hold when the operator is provably bounded; else, on
-    the binary family, fwd fails iff the spine tail's step ratios reach down
-    to 0 and bwd iff they are unbounded; elsewhere the verdicts are at-depth.
+    with the raw diagonal sup.  Both hold when the operator is provably
+    bounded; else, on the binary family, fwd fails iff the spine tail's step
+    ratios reach down to 0 and bwd iff they are unbounded; elsewhere the
+    verdicts are at-depth.
     Every vertex with two complete levels below it gives its environment;
     on the binary family the rules add those past the prefix, the spine's up
     to level ``depth`` (:meth:`BinaryWeights.level_envs`).  The environments
@@ -1303,35 +1294,29 @@ def domain_inclusion_criteria(w: WeightSystem, m: Materialized, depth: Optional[
     # sums over children in storage order, as the one-vertex sum takes them
     fwd_all = np.bincount(ep, weights=loc.mod2[kids] / (1.0 + loc.norms2[kids]), minlength=len(deg))
     fwd_vals = fwd_all[envs]
-    t_vals, hs_vals, tr_vals, diag_vals = (np.empty(len(envs)) for _ in range(4))
+    t_vals, diag_vals = np.empty(len(envs)), np.empty(len(envs))
     for d in np.unique(deg[envs]).tolist():
         rows = np.flatnonzero(deg[envs] == d)
         ch = kids[ar.child_ptr[envs[rows]][:, None] + np.arange(d)]
-        out = _tu_quantities(loc.mod[ch], loc.norms2[ch])
-        for vals, part in zip((t_vals, hs_vals, tr_vals, diag_vals), out):
-            vals[rows] = part
-    level, names = ar.level[envs], [m.tree.vertices[u] for u in envs.tolist()]
+        t_vals[rows], diag_vals[rows] = _tu_quantities(loc.mod[ch], loc.norms2[ch])
+    level = ar.level[envs]
     if binary:
         lv, mods, norms2 = rules.level_envs(m, loc.mod, depth)
         fwd_vals = np.append(fwd_vals, [sum(l ** 2 / (1.0 + n2) for l, n2 in zip(ls, ns)) for ls, ns in zip(mods, norms2)])
-        out = _tu_quantities(np.array(mods), np.array(norms2))
-        t_vals, hs_vals, tr_vals, diag_vals = (np.append(a, b) for a, b in zip((t_vals, hs_vals, tr_vals, diag_vals), out))
-        level, names = np.append(level, lv), names + [""] * len(lv)
+        t_rules, diag_rules = _tu_quantities(np.array(mods), np.array(norms2))
+        t_vals, diag_vals = np.append(t_vals, t_rules), np.append(diag_vals, diag_rules)
+        level = np.append(level, lv)
 
     if not len(fwd_vals):
         raise IncompleteTruncationError(m.tree.root, "no vertex has two complete levels")
 
     def mono(vals):
-        # running sup still strictly growing at the deepest levels
-        return _rising(vals, level, names)
+        # running sup still strictly growing at the deepest levels (rules' environments named "")
+        return _rising(vals, level, lambda i: m.tree.vertices[envs[i]] if i < len(envs) else "")
 
     fwd_sup = float(fwd_vals.max())
     bwd_sup = float(t_vals.max())
-    extras = {
-        "hs_sup": float(hs_vals.max()),
-        "trace_sup": float(tr_vals.max()),
-        "diag_sup": float(diag_vals.max()),
-    }
+    extras = {"diag_sup": float(diag_vals.max())}
 
     nr = _norm(rules, m, loc)
     if nr.exact and math.isfinite(nr.value):

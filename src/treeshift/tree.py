@@ -1,17 +1,19 @@
 """Directed-tree combinatorics: validation, navigation, structural sets, index.
 
-Vertices are opaque strings.  The built-in infinite families render their
-vertices as ``"-k"``, ``"0"`` and ``"(i,j)"``; explicit trees may use any
-labels.  Infinite trees are never stored whole: a family is materialized to a
-finite prefix together with per-vertex completeness flags.
+Vertices are opaque strings, stored in canonical order with the position of
+each one's parent; the string maps are views, built on first use.  The
+built-in families name their vertices ``"-k"``, ``"0"`` and ``"(i,j)"``;
+explicit trees may use any labels.  Infinite trees are never stored whole: a
+family writes a finite prefix and its :class:`TreeArrays` by formula.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -99,30 +101,43 @@ def vertex_key(v: str):
 
 @dataclass(frozen=True)
 class DirectedTree:
-    """A finite directed tree with explicit parent and children maps.
-
-    Instances are immutable; construct them through :func:`validate` (or the
-    family materializers) so the invariants are guaranteed.
+    """A finite directed tree: vertex ids in canonical order and, by position,
+    the position of each parent (-1 at the root).  Construct it through
+    :func:`validate` (or the family materializers) so the invariants hold.
+    The string maps ``parent``, ``children`` and ``positions`` (id to
+    position) are views, built on first use and cached on the instance.
     """
 
     vertices: tuple
-    parent: Mapping[str, str]
-    children: Mapping[str, tuple]
+    parent_ids: np.ndarray
     root: Optional[str]
 
+    def __eq__(self, other):
+        same = isinstance(other, DirectedTree) and (self.vertices, self.root) == (other.vertices, other.root)
+        return same and np.array_equal(self.parent_ids, other.parent_ids)
+
+    @cached_property
+    def positions(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def parent(self) -> Mapping[str, str]:
+        vs = self.vertices
+        return {vs[i]: vs[p] for i, p in enumerate(self.parent_ids.tolist()) if p >= 0}
+
+    @cached_property
+    def children(self) -> Mapping[str, tuple]:
+        kids: dict = {v: [] for v in self.vertices}
+        for v, u in self.parent.items():  # by position: each tuple in canonical order
+            kids[u].append(v)
+        return {u: tuple(cs) for u, cs in kids.items()}
+
     def __contains__(self, v) -> bool:
-        return v in self.children
+        return v in self.positions
 
-    def children_of(self, u: str) -> tuple:
-        try:
-            return self.children[u]
-        except KeyError:
-            raise UnknownVertexError(u) from None
-
-    def parent_of(self, v: str) -> Optional[str]:
-        if v not in self.children:
-            raise UnknownVertexError(v)
-        return self.parent.get(v)
+    def has_parent(self, v) -> bool:
+        """Is ``v`` a non-root vertex?"""
+        return v in self.positions and v != self.root
 
     def edges(self) -> tuple:
         return tuple((self.parent[v], v) for v in self.vertices if v in self.parent)
@@ -133,27 +148,6 @@ class StructuralSets:
     leaves: frozenset
     branching: frozenset
     vprime: frozenset
-
-
-def _build(order, parent) -> DirectedTree:
-    """The tree with its vertices in ``order``, which must be canonical (sorted
-    by :func:`vertex_key`); each children tuple is filled by walking that order,
-    so it comes out sorted too."""
-    order = tuple(order)
-    children: dict = {v: [] for v in order}
-    roots = []
-    for v in order:
-        u = parent.get(v)
-        if u is None:
-            roots.append(v)
-        else:
-            children[u].append(v)
-    return DirectedTree(
-        vertices=order,
-        parent=dict(parent),
-        children={u: tuple(cs) for u, cs in children.items()},
-        root=roots[0] if len(roots) == 1 else None,
-    )
 
 
 def validate(vertices: Iterable[str], edges: Iterable[tuple]) -> DirectedTree:
@@ -201,7 +195,10 @@ def validate(vertices: Iterable[str], edges: Iterable[tuple]) -> DirectedTree:
     outside = sum(1 for v in vs if root_of[v] != top)
     if outside:
         raise DisconnectedError(f"{outside} vertices unreachable")
-    return _build(sorted(vs, key=vertex_key), parent)  # stable: input order breaks ties
+    order = tuple(sorted(vs, key=vertex_key))  # stable: input order breaks ties
+    index = {v: i for i, v in enumerate(order)}
+    ids = np.fromiter((index[parent[v]] if v in parent else -1 for v in order), np.int64, len(order))
+    return DirectedTree(order, ids, top)
 
 
 def descendants(t: DirectedTree, u: str, n: int) -> frozenset:
@@ -229,7 +226,7 @@ def structural_sets(t: DirectedTree) -> StructuralSets:
 def tree_structure(obj) -> "FamilyStructure":
     """The structure of a :class:`TreeFamily`, of a family prefix, or of an
     explicit :class:`DirectedTree` (or :class:`Materialized` prefix that is
-    the whole tree), derived from :func:`structural_sets`."""
+    the whole tree), derived from its parent ids."""
     if isinstance(obj, Materialized):
         if obj.family is None and not obj.whole:
             raise IndeterminateError("truncated tree without family structure")
@@ -239,9 +236,8 @@ def tree_structure(obj) -> "FamilyStructure":
             raise IndeterminateError("custom family lacks declared structure")
         return obj.structure
     if isinstance(obj, DirectedTree):
-        s = structural_sets(obj)
-        branch_children = tuple(len(obj.children[u]) for u in obj.vertices if u in s.branching)
-        return FamilyStructure(obj.root is not None, len(s.leaves), branch_children)
+        deg = np.bincount(obj.parent_ids[obj.parent_ids >= 0], minlength=len(obj.vertices))
+        return FamilyStructure(obj.root is not None, int(np.count_nonzero(deg == 0)), tuple(deg[deg >= 2].tolist()))
     raise TypeError(f"no tree structure for {type(obj).__name__}")
 
 
@@ -256,7 +252,7 @@ def tree_index(obj) -> int:
 
 def split_at(t: DirectedTree, u: str) -> tuple:
     """Split into (subtree of descendants of u, complement subtree)."""
-    if u not in t.children:
+    if u not in t:
         raise UnknownVertexError(u)
     des = set()
     stack = [u]
@@ -267,14 +263,13 @@ def split_at(t: DirectedTree, u: str) -> tuple:
     rest = [v for v in t.vertices if v not in des]
     if not rest:
         raise EmptyComplementError(f"descendants of {u!r} exhaust the tree")
-    sub = _build([v for v in t.vertices if v in des], {v: t.parent[v] for v in des if v != u})
-    comp = _build(rest, {v: t.parent[v] for v in rest if v in t.parent})
-    return sub, comp
+    sub = validate([v for v in t.vertices if v in des], [(t.parent[v], v) for v in des if v != u])
+    return sub, validate(rest, [(t.parent[v], v) for v in rest if v != t.root])
 
 
 @dataclass(frozen=True)
 class TreeArrays:
-    """Integer view of a materialized prefix.
+    """Integer view of a materialized prefix, built with it.
 
     Vertex ids are positions in ``tree.vertices``.  The children of ``u`` are
     ``child_idx[child_ptr[u]:child_ptr[u + 1]]``, in the order of
@@ -291,6 +286,32 @@ class TreeArrays:
     checkable: np.ndarray  # complete, and every child complete: ||S e_v|| known below
 
 
+def _tree_arrays(parent: np.ndarray, complete: np.ndarray, child_idx=None, level=None) -> TreeArrays:
+    """The integer view from parent ids and completeness.  A family passes
+    ``child_idx`` and ``level`` by formula; else a stable sort by parent id
+    gives the children (the root's -1 first, siblings in canonical order)
+    and pointer doubling the levels."""
+    n = len(parent)
+    if child_idx is None:
+        order = np.argsort(parent, kind="stable")
+        child_idx = order[parent[order] >= 0]
+    edge_parent = parent[child_idx]
+    child_ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(edge_parent, minlength=n), out=child_ptr[1:])
+    checkable = complete.copy()
+    checkable[parent[(parent >= 0) & ~complete]] = False
+    if level is None:
+        # after k rounds every vertex knows its distance to the ancestor
+        # 2**k levels up, or to the root
+        up, live = parent, parent >= 0
+        level = live.astype(np.int64)
+        while live.any():
+            level = level + np.where(live, level[up], 0)
+            up = np.where(live, up[up], -1)
+            live = up >= 0
+    return TreeArrays(parent, child_ptr, child_idx, edge_parent, complete, level, checkable)
+
+
 @dataclass(frozen=True)
 class Materialized:
     """A finite prefix of a (possibly infinite) directed tree.
@@ -299,11 +320,13 @@ class Materialized:
     ``boundary_root`` is set when the materialized root is an artifact of the
     truncation (the true tree continues upward).
 
-    ``arrays`` is an integer view of the prefix (:class:`TreeArrays`), built on
-    first use and cached on the instance.  Its ids are positions in
-    ``tree.vertices``, which is sorted by :func:`vertex_key`; a scan "in
-    canonical order" is therefore a scan by increasing id, and the first
-    violation it meets is the violation with the lowest id.
+    ``arrays`` is the integer view of the prefix (:class:`TreeArrays`): a
+    family passes it in, else it is derived at construction.  Its ids are
+    positions in ``tree.vertices``, which is sorted by :func:`vertex_key`; a
+    scan "in canonical order" is therefore a scan by increasing id, and the
+    first violation it meets is the violation with the lowest id.  The
+    arrays, ``tree.vertices`` and ``complete`` are built eagerly; the tree's
+    string maps on first use, which no closed form needs.
     """
 
     tree: DirectedTree
@@ -311,6 +334,12 @@ class Materialized:
     boundary_root: bool = False
     family: Optional["TreeFamily"] = None
     depth: int = 0
+    arrays: Optional[TreeArrays] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.arrays is None:  # derived from the tree and ``complete``
+            mask = np.fromiter(map(self.complete.__contains__, self.tree.vertices), bool, len(self.tree.vertices))
+            object.__setattr__(self, "arrays", _tree_arrays(self.tree.parent_ids, mask))
 
     def is_complete(self, v: str) -> bool:
         return v in self.complete
@@ -327,37 +356,11 @@ class Materialized:
     def whole(self) -> bool:
         """Is the prefix the whole tree: every vertex complete, and the root
         the true root?"""
-        return not self.boundary_root and self.complete.issuperset(self.tree.vertices)
+        return not self.boundary_root and bool(self.arrays.complete.all())
 
     def levels(self) -> dict:
         """Distance from the materialized root, per vertex."""
         return dict(zip(self.tree.vertices, self.arrays.level.tolist()))
-
-    @cached_property
-    def arrays(self) -> TreeArrays:
-        t = self.tree
-        n = len(t.vertices)
-        index = {v: i for i, v in enumerate(t.vertices)}
-        parent = np.fromiter((index.get(t.parent.get(v), -1) for v in t.vertices), np.int64, n)
-        # a stable sort by parent id puts the root (-1) first and keeps each
-        # parent's children in canonical order, the order of tree.children
-        order = np.argsort(parent, kind="stable")
-        child_idx = order[parent[order] >= 0]
-        edge_parent = parent[child_idx]
-        child_ptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(edge_parent, minlength=n), out=child_ptr[1:])
-        complete = np.fromiter((v in self.complete for v in t.vertices), bool, n)
-        checkable = complete.copy()
-        checkable[parent[(parent >= 0) & ~complete]] = False
-        # pointer doubling: after k rounds every vertex knows its distance to
-        # the ancestor 2**k levels up, or to the root
-        up, live = parent, parent >= 0
-        level = live.astype(np.int64)
-        while live.any():
-            level = level + np.where(live, level[up], 0)
-            up = np.where(live, up[up], -1)
-            live = up >= 0
-        return TreeArrays(parent, child_ptr, child_idx, edge_parent, complete, level, checkable)
 
 
 def as_complete(t: DirectedTree) -> Materialized:
@@ -377,12 +380,7 @@ def explicit_truncation(
     unknown = inc - set(t.vertices)
     if unknown:
         raise UnknownVertexError(sorted(unknown)[0])
-    return Materialized(
-        tree=t,
-        complete=frozenset(t.vertices) - inc,
-        boundary_root=rootless,
-        family=None,
-    )
+    return Materialized(tree=t, complete=frozenset(t.vertices) - inc, boundary_root=rootless)
 
 
 @dataclass(frozen=True)
@@ -455,19 +453,7 @@ class TreeFamily:
     def materialize(self, depth: int) -> Materialized:
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.kind == "binary":
-            if depth > 16:
-                raise ValueError("binary family materialization capped at depth 16")
-            vs = ["0"]
-            parent = {}
-            for i in range(1, depth + 1):
-                for j in range(1, 2 ** i + 1):
-                    v = f"({i},{j})"
-                    vs.append(v)
-                    parent[v] = "0" if i == 1 else f"({i - 1},{(j + 1) // 2})"
-            complete = set(vs[: 2 ** depth - 1])  # levels 0 .. depth - 1, as generated
-            boundary = False
-        elif self.kind == "custom":
+        if self.kind == "custom":
             # expand each new vertex once; an edge to a vertex already seen is
             # kept, so validate refuses a circuit or a second parent
             vs, edges, frontier = {self.custom_root: None}, [], [self.custom_root]
@@ -483,27 +469,44 @@ class TreeFamily:
             return Materialized(  # validate sorts stably: generation order breaks ties
                 tree=validate(vs, edges), complete=frozenset(vs) - set(frontier), family=self, depth=depth
             )
+        # the ids, then the arrays by formula, both in canonical order
+        if self.kind == "binary":
+            if depth > 16:
+                raise ValueError("binary family materialization capped at depth 16")
+            # heap order: (i,j) at 2**i - 2 + j, its parent (i-1,(j+1)//2) at (p-1)//2
+            vs = ["0", *(f"({i},{j})" for i in range(1, depth + 1) for j in range(1, 2 ** i + 1))]
+            pos = np.arange(len(vs))
+            parent, child_idx = (pos - 1) // 2, pos[1:]
+            complete = pos < 2 ** depth - 1  # levels 0 .. depth - 1
+            level = np.repeat(np.arange(depth + 1), 1 << np.arange(depth + 1))
+            boundary = False
         else:
             # the integer chain lo..hi; for the broom, eta branches of pair ids off
             # "0".  kappa is how far the chain runs below "0" in the whole tree.
             kappa = {"z_plus": 0, "t_eta_kappa": self.kappa}.get(self.kind, math.inf)
             lo, hi = -int(min(kappa, depth)), (depth if self.kind in ("z_plus", "z") else 0)
             vs = [str(n) for n in range(lo, hi + 1)]
-            parent = dict(zip(vs[1:], vs))
-            tips = {vs[-1]} if hi > 0 else set()  # a top at "0" is complete
-            for i in range(1, (self.eta if self.kind == "t_eta_kappa" else 0) + 1):
-                branch = [f"({i},{j})" for j in range(1, depth + 1)]
-                parent.update(zip(branch, ["0"] + branch))
-                vs += branch
-                tips.add(branch[-1])
-            complete = set(vs) - tips
+            c, eta = len(vs), (self.eta if self.kind == "t_eta_kappa" else 0)
+            for i in range(1, eta + 1):
+                vs += [f"({i},{j})" for j in range(1, depth + 1)]
+            parent = np.arange(-1, len(vs) - 1)
+            heads = c + depth * np.arange(eta)
+            parent[heads] = -lo  # the position of "0"
+            complete = np.ones(len(vs), bool)
+            complete[heads + depth - 1] = False
+            complete[c - 1] = hi == 0  # a top at "0" is complete
+            # by parent: the chain's children, the heads, each branch vertex's child
+            child_idx = np.concatenate([np.arange(1, c), heads, np.delete(np.arange(c, len(vs)), heads - c)])
+            level = np.concatenate([np.arange(c), np.tile(np.arange(1 - lo, 1 - lo + depth), eta)])
             boundary = kappa > -lo  # the chain continues below lo
+        vs = tuple(vs)
         return Materialized(
-            tree=_build(vs, parent),
-            complete=frozenset(complete),
+            tree=DirectedTree(vs, parent, vs[0]),
+            complete=frozenset(compress(vs, complete.tolist())),
             boundary_root=boundary,
             family=self,
             depth=depth,
+            arrays=_tree_arrays(parent, complete, child_idx, level),
         )
 
     # -- structural data -------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -172,19 +173,54 @@ def truncations(draw):
 # -- canonical order, built the direct way ------------------------------------
 
 
-def ref_build(vertices, parent) -> tree.DirectedTree:
+@dataclass(frozen=True)
+class RefTree:
+    """A tree as plain string maps."""
+
+    vertices: tuple
+    parent: dict
+    children: dict
+    root: object
+
+
+def ref_build(vertices, parent) -> RefTree:
     """The tree with each children tuple and the vertex set sorted by
     ``vertex_key`` on their own."""
     children = {v: [] for v in vertices}
     for v, u in parent.items():
         children[u].append(v)
     roots = [v for v in vertices if v not in parent]
-    return tree.DirectedTree(
+    return RefTree(
         vertices=tuple(sorted(vertices, key=vertex_key)),
         parent=dict(parent),
         children={u: tuple(sorted(cs, key=vertex_key)) for u, cs in children.items()},
         root=roots[0] if len(roots) == 1 else None,
     )
+
+
+def ref_family(fam, depth: int) -> tuple:
+    """(tree, complete vertices, boundary_root) of a built-in family's
+    prefix, written id by id from the family's definition."""
+    if fam.kind == "binary":
+        vs, parent = ["0"], {}
+        for i in range(1, depth + 1):
+            for j in range(1, 2 ** i + 1):
+                v = f"({i},{j})"
+                vs.append(v)
+                parent[v] = "0" if i == 1 else f"({i - 1},{(j + 1) // 2})"
+        return ref_build(vs, parent), set(vs[: 2 ** depth - 1]), False  # levels 0 .. depth - 1
+    # the integer chain lo..hi, and for the broom eta branches of pair ids off "0"
+    kappa = {"z_plus": 0, "t_eta_kappa": fam.kappa}.get(fam.kind, math.inf)
+    lo, hi = -int(min(kappa, depth)), (depth if fam.kind in ("z_plus", "z") else 0)
+    vs = [str(n) for n in range(lo, hi + 1)]
+    parent = dict(zip(vs[1:], vs))
+    tips = {vs[-1]} if hi > 0 else set()  # a top at "0" is complete
+    for i in range(1, (fam.eta if fam.kind == "t_eta_kappa" else 0) + 1):
+        branch = [f"({i},{j})" for j in range(1, depth + 1)]
+        parent.update(zip(branch, ["0"] + branch))
+        vs += branch
+        tips.add(branch[-1])
+    return ref_build(vs, parent), set(vs) - tips, kappa > -lo
 
 
 def ref_levels(t) -> dict:
@@ -453,11 +489,11 @@ def ref_tu_quantities(child_norms2, child_mods):
     lam2 = lam * lam
     denom = 1.0 + float(np.sum(lam2))
     loo = np.array([1.0 + float(np.sum(np.delete(lam2, i))) for i in range(len(lam2))])
-    mat = -np.outer(np.sqrt(d2) * lam, np.sqrt(d2) * lam) / denom
+    x = np.sqrt(d2) * lam / math.sqrt(denom)  # divided first: x x^T stays in range
+    mat = -np.outer(x, x)
     np.fill_diagonal(mat, d2 * loo / denom)
     evs = np.linalg.eigvalsh(mat)
-    return (float(evs[-1]), float(np.sqrt(np.sum(mat * mat))), float(np.trace(mat)),
-            float(np.max(d2)) if len(d2) else 0.0)
+    return float(evs[-1]), float(np.max(d2)) if len(d2) else 0.0
 
 
 def ref_domain_inclusion_criteria(w, m, depth=None):
@@ -482,7 +518,7 @@ def ref_domain_inclusion_criteria(w, m, depth=None):
     if not envs:
         raise shift.IncompleteTruncationError(m.tree.root, "no vertex has two complete levels")
     fwd_vals = [sum(l ** 2 / (1.0 + n2) for l, n2 in zip(mods, n2s)) for mods, n2s in envs]
-    t_vals, hs_vals, tr_vals, diag_vals = zip(*(ref_tu_quantities(n2s, mods) for mods, n2s in envs))
+    t_vals, diag_vals = zip(*(ref_tu_quantities(n2s, mods) for mods, n2s in envs))
 
     def mono(vals):
         run, last_new = 0.0, -1
@@ -491,7 +527,7 @@ def ref_domain_inclusion_criteria(w, m, depth=None):
                 run, last_new = v, i
         return last_new >= len(vals) - 2 and len(vals) >= 3
 
-    extras = {"hs_sup": max(hs_vals), "trace_sup": max(tr_vals), "diag_sup": max(diag_vals)}
+    extras = {"diag_sup": max(diag_vals)}
     nr = ref_norm(w, m)
     if nr.exact and math.isfinite(nr.value):
         fwd_v = bwd_v = "holds"

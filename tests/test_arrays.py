@@ -36,6 +36,7 @@ from helpers import (
     ref_arrays,
     ref_build,
     ref_chain_verdict,
+    ref_family,
     ref_domain_inclusion_criteria,
     ref_fredholm_data,
     ref_is_isometry,
@@ -178,15 +179,30 @@ def test_integer_view():
     assert m.arrays is a  # built once per prefix
 
 
-# -- canonical order is decided once, in tree._build ----------------------------
+# -- canonical order: the arrays come first, the string maps are views -------
+
+
+def assert_same_tree(t, ref):
+    """The library's tree and its string views equal the reference's."""
+    assert t.vertices == ref.vertices
+    assert dict(t.parent) == ref.parent
+    assert dict(t.children) == ref.children
+    assert t.root == ref.root
+
+
+def assert_arrays_match(m, ref, complete):
+    want = ref_arrays(ref, complete)
+    for f in dataclasses.fields(tree.TreeArrays):
+        got = getattr(m.arrays, f.name)
+        dtype = bool if f.name in ("complete", "checkable") else np.int64
+        assert got.dtype == dtype, f.name
+        assert got.tobytes() == np.array(want[f.name], dtype).tobytes(), f.name
 
 
 def assert_matches_reference_build(m):
     ref = ref_build(set(m.tree.vertices), m.tree.parent)
-    assert m.tree == ref
-    want = ref_arrays(ref, m.complete)
-    for f in dataclasses.fields(tree.TreeArrays):
-        assert np.array_equal(getattr(m.arrays, f.name), np.array(want[f.name])), f.name
+    assert_same_tree(m.tree, ref)
+    assert_arrays_match(m, ref, m.complete)
     assert m.levels() == ref_levels(ref)
 
 
@@ -208,6 +224,44 @@ BUILT_IN = {k: f for k, f in FAMILIES.items() if f.kind != "custom"}
 def test_families_match_reference_build(fam):
     for depth in range(1, 7):
         assert_matches_reference_build(fam.materialize(depth))
+
+
+STRING_REFERENCE = {
+    "z_plus": ts.zplus(), "z": ts.zline(), "z_minus": ts.zminus(), "binary": ts.binary(),
+    **{f"broom_{eta}_{kappa}": ts.broom(eta, kappa) for eta in (2, 3, 5) for kappa in (0, 1, 4, 20, math.inf)},
+}
+
+
+@pytest.mark.parametrize("fam", STRING_REFERENCE.values(), ids=STRING_REFERENCE.keys())
+def test_families_match_string_reference(fam):
+    # the formulas against the family written id by id, trunks longer than
+    # the depth included
+    for depth in range(1, 11 if fam.kind == "binary" else 17):
+        m = fam.materialize(depth)
+        ref, complete, boundary = ref_family(fam, depth)
+        assert_same_tree(m.tree, ref)
+        assert m.complete == frozenset(complete) and isinstance(m.complete, frozenset)
+        assert (m.boundary_root, m.depth, m.family) == (boundary, depth, fam)
+        assert_arrays_match(m, ref, complete)
+
+
+def test_string_maps_stay_unbuilt_on_the_closed_forms():
+    # the calls of a broom job read the arrays only; the string maps are
+    # views that nothing there builds
+    rule = BranchRule((0.9,), GeometricTail(0.8, 0.99), 1)
+    trunks = {0: None, 2: BranchRule((0.7, 0.6), None, 0), math.inf: BranchRule((0.7,), GeometricTail(0.7, 0.99), 0)}
+    for kappa, trunk in trunks.items():
+        w = WeightSystem(rules=BroomWeights(3, kappa, (rule,) * 3, trunk))
+        m = ts.broom(3, kappa).materialize(40)
+        for name in ("is_isometry", "is_quasinormal", "is_normal", "is_cohyponormal", "is_hyponormal"):
+            getattr(classify, name)(w, m)
+        classify.is_p_hyponormal(w, m, 2.0)
+        shift.norm(w, m)
+        shift.fredholm_data(w, m)
+        shift.domain_inclusion_criteria(w, m)
+        assert len(m.tree.vertices) == 3 * 40 + 1 + min(kappa, 40) and m.complete
+        built = {"parent", "children", "positions"} & set(vars(m.tree))
+        assert not built, built
 
 
 @pytest.mark.parametrize("fam", BUILT_IN.values(), ids=BUILT_IN.keys())
@@ -235,7 +289,7 @@ def assert_split_matches_reference(t):
         assert set(sub.vertices) | set(comp.vertices) == set(t.vertices)
         for piece in (sub, comp):
             vs = set(piece.vertices)
-            assert piece == ref_build(vs, {v: t.parent[v] for v in vs if v in t.parent and v != piece.root})
+            assert_same_tree(piece, ref_build(vs, {v: t.parent[v] for v in vs if v in t.parent and v != piece.root}))
 
 
 @pytest.mark.parametrize("fam", FAMILIES.values(), ids=FAMILIES.keys())

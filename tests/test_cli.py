@@ -467,3 +467,12 @@ def test_construct_chex_reads_kappa_as_subnormal_does(capsys, tmp_path):
     spec = _write(tmp_path, "s.json", {"eta": 2, "kappa": "inf", "measures": TWO_DELTAS})
     code, out = _run(capsys, ["construct-chex", spec])
     assert code == 2 and "an infinite trunk admits only isometries" in json.loads(out)["error"]["message"]
+
+
+def test_construct_chex_refuses_a_negative_kappa(capsys, tmp_path):
+    # exited on a KeyError traceback; refused as construct-subnormal refuses it
+    atoms = [{"atoms": [[0.5, 0.1]]}, {"atoms": [[0.5, 0.1]]}]
+    spec = _write(tmp_path, "s.json", {"eta": 2, "kappa": -1, "measures": atoms})
+    code, out = _run(capsys, ["construct-chex", spec])
+    assert code == 2
+    assert json.loads(out)["error"]["message"].endswith("kappa must be a nonnegative integer or inf")

@@ -366,6 +366,23 @@ def test_domain_criteria_factorial_spine():
     assert rep.bwd.extras["diag_sup"] > 1e6
 
 
+@pytest.mark.parametrize("case", ["z_plus", "binary"])
+def test_domain_criteria_fast_tails_do_not_overflow(case):
+    # the rank-one part x x^T overflowed before its division by
+    # 1 + ||S e_u||^2 here; RuntimeWarnings are errors in this suite
+    if case == "z_plus":
+        w = WeightSystem(rules=ChainWeights("z_plus", pos=BranchRule((), FactorialTail(), 1)))
+        rep = shift.domain_inclusion_criteria(w, ts.zplus().materialize(64))
+        assert rep.depth == 64
+    else:
+        w = WeightSystem(rules=BinaryWeights(spine=BranchRule((), FactorialTail(), start=1)))
+        rep = shift.domain_inclusion_criteria(w, ts.binary().materialize(16), depth=60)
+        assert rep.fwd.verdict == "holds" and rep.bwd.verdict == "fails"
+    assert math.isfinite(rep.bwd.sup) and rep.bwd.sup > 1000.0
+    assert rep.bwd.monotone_increasing
+    assert set(rep.bwd.extras) == {"diag_sup"}
+
+
 def test_domain_criteria_power_spine():
     m = ts.binary().materialize(3)
     w = WeightSystem(rules=BinaryWeights(spine=BranchRule((), GeometricTail(1.0, 2.0), start=1)))

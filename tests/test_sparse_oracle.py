@@ -176,3 +176,26 @@ def test_cli_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ts.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(2, 300), st.sampled_from([1, 3, 40]), st.randoms(use_true_random=False), st.booleans())
+def test_truncate_lays_out_random_trees_in_bfs_order(n, span, rng, rootless):
+    # shuffled integer ids, so that canonical order says nothing of the
+    # shape; the reference walks the input edges, children sorted by id
+    ids = [str(i) for i in range(n)]
+    rng.shuffle(ids)
+    edges = [(ids[i - 1 - rng.randrange(min(i, span))], ids[i]) for i in range(1, n)]
+    m = tree.explicit_truncation(tree.validate(ids, edges), rng.sample(ids, n // 10), rootless)
+    kids = {v: [] for v in ids}
+    for u, v in edges:
+        kids[u].append(v)
+    order = [ids[0]]
+    for u in order:  # the list grows while it is walked
+        order.extend(sorted(kids[u], key=tree.vertex_key))
+    tr = oracle.truncate(m, 1)
+    assert list(tr.order) == order
+    parent = {v: u for u, v in edges}
+    assert [tr.order[p] if p >= 0 else None for p in tr.parent.tolist()] == [parent.get(v) for v in order]
+    assert [tr.pos(v) for v in order] == list(range(n))
+    assert tr.complete.tolist() == [m.is_complete(v) for v in order]

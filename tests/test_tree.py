@@ -14,8 +14,8 @@ from helpers import random_tree
 def test_validate_chain():
     t = tree.validate(["0", "1", "2"], [("0", "1"), ("1", "2")])
     assert t.root == "0"
-    assert t.children_of("0") == ("1",)
-    assert t.parent_of("2") == "1"
+    assert t.children["0"] == ("1",)
+    assert t.parent["2"] == "1"
 
 
 def test_validate_two_cycle():

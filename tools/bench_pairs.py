@@ -15,7 +15,10 @@ The output file keeps, per workload, every run's end-to-end metrics,
 ``failed`` count and output digest by seed and side, and per metric the
 median and inclusive quartiles of each side, the median ratio and
 difference, and in how many pairs the change reads better (the direction
-comes from ``BENCHMARK.json``).  An existing output file is updated: the
+comes from ``BENCHMARK.json``).  ``speed`` gives the same spread, with its
+IQR, of each side's machine-speed readings (the benchmark clock's reference
+seconds per wall second), so that a pair bench shows when one side's clock
+readings spread.  An existing output file is updated: the
 workloads run now replace theirs, the others are kept.
 """
 
@@ -66,6 +69,8 @@ def summarize(pairs: list, better: dict) -> dict:
             "median_diff": b["median"] - a["median"],
             "parent_iqr": a["q3"] - a["q1"],
         }
+    speeds = {side: spread([p[side]["speed"] for p in pairs]) for side in ("parent", "change")}
+    out["speed"] = {side: dict(s, iqr=s["q3"] - s["q1"]) for side, s in speeds.items()}
     return out
 
 
@@ -107,7 +112,8 @@ def main(argv) -> int:
                     pair[side] = run_once(roots[side], workload, seed, args.seconds)
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: jobs_per_s parent {pair['parent']['metrics']['jobs_per_s']:.3f}, "
-                      f"change {pair['change']['metrics']['jobs_per_s']:.3f}", flush=True)
+                      f"change {pair['change']['metrics']['jobs_per_s']:.3f}; speed parent "
+                      f"{pair['parent']['speed']:.3f}, change {pair['change']['speed']:.3f}", flush=True)
             workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
